@@ -4,7 +4,7 @@ The miniature point transformer
 
 Runs one forward pass through the frozen backbone: feature embedding,
 positional encoding, patch-local attention blocks, and the segmentation
-head.  Every multiply-add is tallied per call site along the way.
+head.  A tracer tallies every multiply-add per call site along the way.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ cloud = pp.generate_scene(seed=3, spec=pp.source_spec(points_per_class=48))
 part = pp.serialize(cloud, config.voxel_size, config.patch_size)
 
 counter = pp.OpCounter()
-result = pp.forward(cloud, part, None, None, store, config, counter=counter)
+result = pp.forward(cloud, part, None, None, store, config, tracer=counter)
 print(f"\nlogits: {result.logits.shape} for {cloud.n} points")
 
 pred = np.argmax(result.logits.data, axis=1)
@@ -38,7 +38,7 @@ for line in counter.report_csv().strip().splitlines()[1:]:
     print(f"  {site:24s} {int(count):>12,}")
 print(f"  {'total':24s} {counter.total():>12,}")
 
-# activations are recorded per block for inspection
-acts = result.activations
-print("\nper-block post-attention mean |x|:",
-      [round(float(np.abs(a).mean()), 3) for a in acts.post_attn])
+# the same tracer kept a copy of the residual stream leaving each block
+print("\nper-block output mean |x|:",
+      [round(float(np.abs(counter.arrays[f"block{i}"]["x"]).mean()), 3)
+       for i in range(config.blocks)])

@@ -50,9 +50,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         backward(self)
 
@@ -482,11 +479,6 @@ class ParamStore:
         for name in self._entries:
             if name.startswith(prefix):
                 self.set_frozen(name, True)
-
-    def unfreeze_prefix(self, prefix: str) -> None:
-        for name in self._entries:
-            if name.startswith(prefix):
-                self.set_frozen(name, False)
 
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._entries.items() if not self._frozen[n]]

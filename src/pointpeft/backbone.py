@@ -4,12 +4,18 @@ Per-point embedding, a learned positional MLP, B pre-norm blocks of local
 patch attention plus FFN, and a linear segmentation head.  Adaptation hooks
 are invoked at fixed insertion points so attachment modules can graft extra
 branches without touching frozen weights.
+
+A pass is observed through one optional tracer: any object with a
+`record(site, madds=0, **arrays)` method.  Each named call site reports its
+analytic multiply-adds and, where there is something to see, live views of
+its arrays (attention weights, the residual stream leaving a block); a tracer
+copies what it keeps.  Without a tracer the pass copies nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +23,6 @@ from . import autograd as ag
 from .autograd import ParamStore, Tensor
 from .errors import ContractError, ShapeError, UsageError
 from .geometry import NeighborIndex, PatchPartition, PointCloud
-
-Array = np.ndarray
 
 LN_EPS = 1e-5
 
@@ -203,8 +207,6 @@ class AttnMods:
     lora_k: tuple[Tensor, Tensor] | None = None
     prompt_k: Tensor | None = None  # m x d, prepended as extra keys
     prompt_v: Tensor | None = None
-    prompt_logit_bias: float = 0.0  # test hook: large negative masks prompts out
-    site: str = ""
 
 
 MASK_LOGIT = -1e30  # underflows to an exactly-zero weight after the max shift
@@ -225,14 +227,15 @@ def local_attention(
     prefix: str,
     heads: int,
     mods: AttnMods | None = None,
-    counter=None,
+    tracer=None,
     site: str = "",
-    record=None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention independently inside each patch.
 
     Padded slots are masked out before the softmax and dropped from the
-    output; rows come back in original point order.
+    output; rows come back in original point order.  A tracer sees the
+    softmax weights, shaped (patches*heads, p, m+p) with any m prompt
+    columns first, at `{site}.local_attn`.
     """
     n, d = x.shape
     if part.n != n:
@@ -245,15 +248,15 @@ def local_attention(
     q = linear(x, store, f"{prefix}.q")
     k = linear(x, store, f"{prefix}.k")
     v = linear(x, store, f"{prefix}.v")
-    if counter is not None:
-        counter.add(f"{site}.attn_proj", 4 * n * d * d)
+    if tracer is not None:
+        tracer.record(f"{site}.attn_proj", 4 * n * d * d)
     if mods is not None and mods.lora_q is not None:
         down, up = mods.lora_q
         q = ag.add(q, ag.matmul(ag.matmul(x, down), up))
         down, up = mods.lora_k
         k = ag.add(k, ag.matmul(ag.matmul(x, down), up))
-        if counter is not None:
-            counter.add(f"{mods.site}.lora", 4 * n * d * down.shape[1])
+        if tracer is not None:
+            tracer.record(f"{site}.lora", 4 * n * d * down.shape[1])
 
     flat_idx = part.index.ravel()
     qp = _split_heads(ag.reshape(ag.gather_rows(q, flat_idx), (patches, p, d)), heads)
@@ -274,14 +277,11 @@ def local_attention(
     logits = ag.mul(ag.matmul(qp, ag.transpose(kp, (0, 2, 1))), 1.0 / math.sqrt(dh))
     mask = np.zeros((patches, 1, m + p))
     mask[:, 0, m:][part.pad_mask] = MASK_LOGIT
-    if m and mods.prompt_logit_bias:
-        mask[:, 0, :m] = mods.prompt_logit_bias
     logits = ag.add(logits, Tensor(np.repeat(mask, heads, axis=0)))
     weights = ag.softmax_rows(logits)
-    if record is not None:
-        record(weights.data)
-    if counter is not None:
-        counter.add(f"{site}.local_attn", 2 * patches * heads * p * (m + p) * dh)
+    if tracer is not None:
+        madds = 2 * patches * heads * p * (m + p) * dh
+        tracer.record(f"{site}.local_attn", madds, weights=weights.data)
 
     out = ag.matmul(weights, vp)  # (patches*heads, p, dh)
     out = ag.reshape(ag.transpose(ag.reshape(out, (patches, heads, p, dh)), (0, 2, 1, 3)), (patches * p, d))
@@ -293,20 +293,8 @@ def local_attention(
 
 
 @dataclass
-class BlockActivations:
-    """Per-block intermediate activations, detached for inspection."""
-
-    inputs: list[Array] = field(default_factory=list)
-    post_attn: list[Array] = field(default_factory=list)
-    post_ffn: list[Array] = field(default_factory=list)
-    attn_weights: list[Array] | None = None
-
-
-@dataclass
 class ForwardResult:
     logits: Tensor
-    activations: BlockActivations
-    latent: object | None
 
 
 def forward(
@@ -316,15 +304,14 @@ def forward(
     attachment,
     store: ParamStore,
     config: BackboneConfig,
-    latent=None,
-    counter=None,
-    record_attn: bool = False,
+    tracer=None,
 ) -> ForwardResult:
     """Full pass: embed, positional refinement, B blocks, segmentation head.
 
     `attachment` is any object exposing the insertion-point hooks
     (new_latent, input_branch, attention_mods, context_branch, ffn_post),
-    or None for the plain frozen path.
+    or None for the plain frozen path.  `tracer`, if given, is passed to
+    every site and hook; block i reports its output as `x` at `block{i}`.
     """
     n = cloud.n
     if part.n != n:
@@ -333,52 +320,43 @@ def forward(
         raise ContractError(f"neighbor index covers {nbr.num_points} points, cloud has {n}")
 
     x0 = embed(cloud, store)
-    if counter is not None:
-        counter.add("embed", n * cloud.c * config.d)
+    if tracer is not None:
+        tracer.record("embed", n * cloud.c * config.d)
     x = ag.add(x0, pos_encode(Tensor(cloud.coords), store))
-    if counter is not None:
-        counter.add("pos", n * 3 * config.d + n * config.d * config.d)
+    if tracer is not None:
+        tracer.record("pos", n * 3 * config.d + n * config.d * config.d)
+    latent = None
     if attachment is not None:
-        branch = attachment.input_branch(x0, nbr, counter)
+        branch = attachment.input_branch(x0, nbr, tracer)
         if branch is not None:
             x = ag.add(x, branch)
-        if latent is None:
-            latent = attachment.new_latent()
+        latent = attachment.new_latent()
 
-    acts = BlockActivations(attn_weights=[] if record_attn else None)
     for i in range(config.blocks):
-        acts.inputs.append(x.data.copy())
-        xn = layer_norm(x, store, f"backbone.block{i}.ln1")
+        site = f"block{i}"
+        xn = layer_norm(x, store, f"backbone.{site}.ln1")
         mods = attachment.attention_mods(i) if attachment is not None else None
-        record = acts.attn_weights.append if record_attn else None
         attn = local_attention(
-            xn,
-            part,
-            store,
-            f"backbone.block{i}.attn",
-            config.heads,
-            mods=mods,
-            counter=counter,
-            site=f"block{i}",
-            record=record,
+            xn, part, store, f"backbone.{site}.attn", config.heads,
+            mods=mods, tracer=tracer, site=site,
         )
         x = ag.add(x, attn)
         if attachment is not None:
-            branch, latent = attachment.context_branch(xn, i, latent, counter)
+            branch, latent = attachment.context_branch(xn, i, latent, tracer)
             if branch is not None:
                 x = ag.add(x, branch)
-        acts.post_attn.append(x.data.copy())
-        x = ag.add(x, ffn(layer_norm(x, store, f"backbone.block{i}.ln2"), store, f"backbone.block{i}.ffn"))
-        if counter is not None:
-            counter.add(f"block{i}.ffn", 2 * n * config.d * config.ffn_mult * config.d)
+        x = ag.add(x, ffn(layer_norm(x, store, f"backbone.{site}.ln2"), store, f"backbone.{site}.ffn"))
+        if tracer is not None:
+            tracer.record(f"{site}.ffn", 2 * n * config.d * config.ffn_mult * config.d)
         if attachment is not None:
-            x = attachment.ffn_post(x, i, counter)
-        acts.post_ffn.append(x.data.copy())
+            x = attachment.ffn_post(x, i, tracer)
+        if tracer is not None:
+            tracer.record(site, x=x.data)
 
     logits = linear(layer_norm(x, store, "backbone.ln_out"), store, "head")
-    if counter is not None:
-        counter.add("head", n * config.d * config.num_classes)
-    return ForwardResult(logits=logits, activations=acts, latent=latent)
+    if tracer is not None:
+        tracer.record("head", n * config.d * config.num_classes)
+    return ForwardResult(logits=logits)
 
 
 def save_backbone(path, store: ParamStore, config: BackboneConfig, command: str | None = None) -> None:

@@ -8,7 +8,7 @@ deterministic synthetic scene generator over labeled geometric primitives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

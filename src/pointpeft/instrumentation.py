@@ -1,9 +1,10 @@
-"""Operation counting and attention capture.
+"""The forward tracer, operation counting and attention capture.
 
-Multiply-adds are tallied analytically from operand shapes at each named call
-site (matmul work only; elementwise maps and normalizations are not
-multiply-accumulate work), so scaling assertions are exact up to padding.
-Attention dumps expose the latent-token rows for external plotting.
+`OpCounter` is the tracer `backbone.forward` accepts.  Multiply-adds are
+tallied analytically from operand shapes at each named call site (matmul work
+only; elementwise maps and normalizations are not multiply-accumulate work),
+so scaling assertions are exact up to padding.  Attention dumps expose the
+global-token rows of one traced pass for external plotting.
 """
 
 from __future__ import annotations
@@ -12,25 +13,36 @@ import numpy as np
 
 from . import autograd as ag
 from . import backbone as bb
+from . import training as tr
 from .autograd import ParamStore
 from .errors import UsageError
-from .geometry import PointCloud, build_neighbor_index, serialize
+from .geometry import PointCloud
 from .peft import PeftAttachment
 
 Array = np.ndarray
 
 
 class OpCounter:
-    """Per-site multiply-add tallies for one forward pass."""
+    """Forward tracer: per-site multiply-add tallies and array copies.
+
+    `sites` sums the multiply-adds every record reports; a record without
+    any adds no key.  `arrays[site]` holds copies of the arrays last
+    reported at that site, by keyword.
+    """
 
     def __init__(self):
         self.sites: dict[str, int] = {}
+        self.arrays: dict[str, dict[str, Array]] = {}
 
-    def add(self, site: str, madds: int) -> None:
-        self.sites[site] = self.sites.get(site, 0) + int(madds)
+    def record(self, site: str, madds: int = 0, **arrays: Array) -> None:
+        if madds:
+            self.sites[site] = self.sites.get(site, 0) + int(madds)
+        if arrays:
+            self.arrays[site] = {k: v.copy() for k, v in arrays.items()}
 
     def reset(self) -> None:
         self.sites.clear()
+        self.arrays.clear()
 
     def total(self, substring: str = "") -> int:
         return sum(v for k, v in self.sites.items() if substring in k)
@@ -41,12 +53,9 @@ class OpCounter:
         return "\n".join(rows) + "\n"
 
 
-def _prepare(cloud: PointCloud, bconfig: bb.BackboneConfig, attachment):
-    part = serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
-    nbr = None
-    if attachment is not None and attachment.config.has_spatial:
-        nbr = build_neighbor_index(cloud, bconfig.voxel_size)
-    return part, nbr
+def _prepare(cloud: PointCloud, bconfig: bb.BackboneConfig, attachment) -> tr.Prepared:
+    need_neighbors = attachment is not None and attachment.config.has_spatial
+    return tr.prepare([cloud], bconfig, need_neighbors=need_neighbors)[0]
 
 
 def count_pass(
@@ -56,9 +65,9 @@ def count_pass(
     attachment: PeftAttachment | None = None,
 ) -> OpCounter:
     """Exact multiply-add counts per site for one forward pass."""
+    pc = _prepare(cloud, bconfig, attachment)
     counter = OpCounter()
-    part, nbr = _prepare(cloud, bconfig, attachment)
-    bb.forward(cloud, part, nbr, attachment, store, bconfig, counter=counter)
+    bb.forward(cloud, pc.part, pc.nbr, attachment, store, bconfig, tracer=counter)
     return counter
 
 
@@ -91,44 +100,38 @@ def dump_attention(
 
     Context-adapter methods dump the stage-1 rows (each latent token's
     distribution over all points).  Prompt tuning dumps each point's
-    head-averaged attention onto the prompt tokens.  Blocks are separated by
-    `# block i` comment lines.
+    head-averaged attention onto the prompt tokens.  Only the attachment's
+    insertion blocks are written, each after a `# block i` comment line.
     """
     method = attachment.config.method
     if not attachment.config.has_context and method != "prompt":
         raise UsageError(f"method {method!r} has no global tokens to dump")
 
-    part, nbr = _prepare(cloud, bconfig, attachment)
+    pc = _prepare(cloud, bconfig, attachment)
+    part = pc.part
+    tracer = OpCounter()
+    bb.forward(cloud, part, pc.nbr, attachment, store, bconfig, tracer=tracer)
     lines = []
     if command:
         lines.append(f"# cmd: {command}")
     lines.append(f"# hash: {ag.config_hash({**bconfig.to_dict(), **attachment.config.to_dict()})}")
     lines.append("token_id,point_id,weight")
-
-    if attachment.config.has_context:
-        attachment.ca_sink = []
-        bb.forward(cloud, part, nbr, attachment, store, bconfig)
-        entries, attachment.ca_sink = attachment.ca_sink, None
-        for entry in entries:
-            lines.append(f"# block {entry['block']}")
-            stage1 = entry["stage1"]  # (m, n)
+    for block in attachment.config.active_blocks(bconfig.blocks):
+        lines.append(f"# block {block}")
+        if attachment.config.has_context:
+            stage1 = tracer.arrays[f"block{block}.ca.stage1"]["weights"]  # (m, n)
             for t in range(stage1.shape[0]):
                 for j in range(stage1.shape[1]):
                     lines.append(f"{t},{j},{float(stage1[t, j])!r}")
-    else:
-        result = bb.forward(cloud, part, nbr, attachment, store, bconfig, record_attn=True)
-        m = attachment.config.tokens
-        heads = bconfig.heads
-        for block, w in enumerate(result.activations.attn_weights):
-            lines.append(f"# block {block}")
-            patches = part.num_patches
-            per_head = w.reshape(patches, heads, part.patch_size, -1).mean(axis=1)
-            for pi in range(patches):
+        else:
+            w = tracer.arrays[f"block{block}.local_attn"]["weights"]
+            per_head = w.reshape(part.num_patches, bconfig.heads, part.patch_size, -1).mean(axis=1)
+            for pi in range(part.num_patches):
                 for slot in range(part.patch_size):
                     point = int(part.index[pi, slot])
                     if point < 0:
                         continue
-                    for t in range(m):
+                    for t in range(attachment.config.tokens):
                         lines.append(f"{t},{point},{float(per_head[pi, slot, t])!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

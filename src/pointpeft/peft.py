@@ -7,12 +7,16 @@ voxel stencil, inserted with the positional encoding) and a context adapter
 (m latent tokens that attend over all points and are attended back, inserted
 after local attention in every block).  All up-projections start at zero so
 an attached model initially reproduces the frozen one exactly.
+
+Each hook passes the forward's optional tracer on to its branch, which
+reports multiply-adds per site; the context adapter also reports its
+attention weights and latent update at `block{i}.ca.stage1`/`.stage2`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +25,6 @@ from .autograd import ParamStore, Tensor
 from .backbone import AttnMods, BackboneConfig, expected_layout
 from .errors import ContractError, InfeasibleBudgetError, UsageError
 from .geometry import NeighborIndex, stencil_offsets
-
-Array = np.ndarray
 
 METHODS = (
     "linear",
@@ -107,16 +109,11 @@ class PeftConfig:
 
 @dataclass
 class LatentState:
-    """Per-forward latent token state; never survives across forward passes.
-
-    `trace` records (input L, L_c) pairs per insertion so sharing semantics
-    are externally checkable.
-    """
+    """Per-forward latent token state; never survives across forward passes."""
 
     L: Tensor
     sharing: str
     stage: int | None = None
-    trace: list[tuple[Array, Array]] = field(default_factory=list)
 
 
 def bitfit_select(store: ParamStore) -> None:
@@ -137,8 +134,6 @@ class PeftAttachment:
         self.config = config
         self.bconfig = bconfig
         self.store = store
-        self.prompt_logit_bias = 0.0  # test hook: push to -1e30 to mask prompts out
-        self.ca_sink: list[dict] | None = None  # set to [] to record attention rows
         self._blocks = set(config.active_blocks(bconfig.blocks))
 
     # -- latent tokens ------------------------------------------------------
@@ -150,7 +145,7 @@ class PeftAttachment:
 
     # -- insertion hooks ----------------------------------------------------
 
-    def input_branch(self, x0: Tensor, nbr: NeighborIndex | None, counter=None) -> Tensor | None:
+    def input_branch(self, x0: Tensor, nbr: NeighborIndex | None, tracer=None) -> Tensor | None:
         if not self.config.has_spatial:
             return None
         if nbr is None:
@@ -159,7 +154,7 @@ class PeftAttachment:
             raise ContractError(
                 f"neighbor index covers {nbr.num_points} points, features have {x0.shape[0]}"
             )
-        return spatial_adapter_branch(x0, nbr, self.store, counter=counter)
+        return spatial_adapter_branch(x0, nbr, self.store, tracer=tracer)
 
     def attention_mods(self, block: int) -> AttnMods | None:
         if block not in self._blocks:
@@ -169,40 +164,28 @@ class PeftAttachment:
             return AttnMods(
                 lora_q=(self.store[f"{pre}.q_down"], self.store[f"{pre}.q_up"]),
                 lora_k=(self.store[f"{pre}.k_down"], self.store[f"{pre}.k_up"]),
-                site=f"block{block}",
             )
         if self.config.method == "prompt":
             pre = f"peft.block{block}.prompt"
             return AttnMods(
                 prompt_k=self.store[f"{pre}.pk"],
                 prompt_v=self.store[f"{pre}.pv"],
-                prompt_logit_bias=self.prompt_logit_bias,
-                site=f"block{block}",
             )
         return None
 
-    def context_branch(self, xn: Tensor, block: int, latent, counter=None):
+    def context_branch(self, xn: Tensor, block: int, latent, tracer=None):
         if not self.config.has_context or block not in self._blocks:
             return None, latent
         if latent is None:
             raise ContractError("context adapter forward started without latent state")
-        branch, latent = context_adapter_branch(
-            xn,
-            latent,
-            self.store,
-            block,
-            self.bconfig,
-            counter=counter,
-            sink=self.ca_sink,
-        )
-        return branch, latent
+        return context_adapter_branch(xn, latent, self.store, block, self.bconfig, tracer=tracer)
 
-    def ffn_post(self, x: Tensor, block: int, counter=None) -> Tensor:
+    def ffn_post(self, x: Tensor, block: int, tracer=None) -> Tensor:
         if self.config.method != "adapter" or block not in self._blocks:
             return x
         pre = f"peft.block{block}.adapter"
-        if counter is not None:
-            counter.add(f"block{block}.adapter", 2 * x.shape[0] * x.shape[1] * self.config.rank)
+        if tracer is not None:
+            tracer.record(f"block{block}.adapter", 2 * x.shape[0] * x.shape[1] * self.config.rank)
         return adapter_branch(x, self.store[f"{pre}.down"], self.store[f"{pre}.up"])
 
 
@@ -216,7 +199,7 @@ def adapter_branch(x: Tensor, down: Tensor, up: Tensor) -> Tensor:
 
 
 def spatial_adapter_branch(
-    x: Tensor, nbr: NeighborIndex, store: ParamStore, counter=None
+    x: Tensor, nbr: NeighborIndex, store: ParamStore, tracer=None
 ) -> Tensor:
     """Stencil aggregation branch (no residual; the caller adds it).
 
@@ -237,8 +220,8 @@ def spatial_adapter_branch(
         term = ag.matmul(ag.gather_rows(vox, nbr.neighbor_voxels[:, s]), kern)
         acc = term if acc is None else ag.add(acc, term)
     per_point = ag.gather_rows(acc, nbr.voxel_of_point)
-    if counter is not None:
-        counter.add("sa", n * d * r + offsets.shape[0] * nbr.num_voxels * r * r + n * r * d)
+    if tracer is not None:
+        tracer.record("sa", n * d * r + offsets.shape[0] * nbr.num_voxels * r * r + n * r * d)
     return ag.matmul(ag.relu(per_point), up)
 
 
@@ -248,14 +231,16 @@ def context_adapter_branch(
     store: ParamStore,
     block: int,
     bconfig: BackboneConfig,
-    counter=None,
-    sink: list | None = None,
+    tracer=None,
 ) -> tuple[Tensor, LatentState]:
     """Two-stage latent attention (no residual on the point path).
 
     Stage 1: m latent tokens query all n down-projected points.  Stage 2: all
     points query the contextualized tokens, and the result is up-projected.
-    The latent state update follows the sharing mode.
+    The latent state update follows the sharing mode.  A tracer sees the
+    stage-1 weights (m, n) with the incoming tokens `L_in` and their update
+    `L_c` at `block{i}.ca.stage1`, and the stage-2 weights (n, m) at
+    `block{i}.ca.stage2`.
     """
     n, d = x.shape
     pre = f"peft.block{block}.ca"
@@ -286,23 +271,20 @@ def context_adapter_branch(
     vals2 = ag.matmul(L_c, wv)
     stage2 = ag.softmax_rows(ag.mul(ag.matmul(queries, ag.transpose(keys2)), scale))
     branch = ag.matmul(ag.matmul(stage2, vals2), up)
-    if sink is not None:
-        sink.append(
-            {"block": block, "stage1": stage1.data.copy(), "stage2": stage2.data.copy()}
+
+    if tracer is not None:
+        site = f"block{block}.ca"
+        tracer.record(f"{site}.proj", 3 * n * d * r)
+        tracer.record(
+            f"{site}.stage1", m * r * r + 2 * m * n * r,
+            weights=stage1.data, L_in=L_in.data, L_c=L_c.data,
+        )
+        tracer.record(
+            f"{site}.stage2", 2 * m * r * r + 2 * n * m * r + n * r * d, weights=stage2.data
         )
 
-    if counter is not None:
-        counter.add(f"block{block}.ca.proj", 3 * n * d * r)
-        counter.add(f"block{block}.ca.stage1", m * r * r + 2 * m * n * r)
-        counter.add(f"block{block}.ca.stage2", 2 * m * r * r + 2 * n * m * r + n * r * d)
-
-    updated = LatentState(
-        L=ag.add(L_in, L_c),
-        sharing=latent.sharing,
-        stage=bconfig.stage_of(block),
-        trace=latent.trace + [(L_in.data.copy(), L_c.data.copy())],
-    )
-    return branch, updated
+    stage = bconfig.stage_of(block)
+    return branch, LatentState(L=ag.add(L_in, L_c), sharing=latent.sharing, stage=stage)
 
 
 # ---------------------------------------------------------------------------

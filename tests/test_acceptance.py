@@ -420,12 +420,11 @@ def test_criterion_09_ablation_grid(tmp_path):
         )
         cloud = transfer["target"][0]
         part = geo.serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
-        result = bb.forward(cloud, part, None, attachment, store, bconfig)
-        trace = result.latent.trace
-        assert len(trace) == bconfig.blocks
+        tracer = ins.OpCounter()
+        bb.forward(cloud, part, None, attachment, store, bconfig, tracer=tracer)
+        trace = [tracer.arrays[f"block{i}.ca.stage1"] for i in range(bconfig.blocks)]
         for i in range(len(trace) - 1):
-            l_in, l_c = trace[i]
-            assert np.array_equal(trace[i + 1][0], l_in + l_c)
+            assert np.array_equal(trace[i + 1]["L_in"], trace[i]["L_in"] + trace[i]["L_c"])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pointpeft import autograd as ag
 from pointpeft import backbone as bb
 from pointpeft import geometry as geo
 from pointpeft.errors import ContractError, ShapeError, UsageError
+from pointpeft.instrumentation import OpCounter
 
 
 def rand_cloud(rng, n, channels=6):
@@ -218,11 +219,18 @@ class TestForward:
         config = small_config()
         store = bb.init_backbone(config, 10)
         cloud = rand_cloud(np.random.default_rng(9), 10)
-        result = run_forward(cloud, config, store, record_attn=True)
-        acts = result.activations
-        assert len(acts.inputs) == len(acts.post_attn) == len(acts.post_ffn) == 2
-        assert len(acts.attn_weights) == 2
-        assert acts.inputs[0].shape == (10, 8)
+        tracer = OpCounter()
+        result = run_forward(cloud, config, store, tracer=tracer)
+        for i in range(config.blocks):
+            assert tracer.arrays[f"block{i}"]["x"].shape == (10, 8)
+            assert tracer.arrays[f"block{i}.local_attn"]["weights"].ndim == 3
+        np.testing.assert_array_equal(
+            result.logits.data,
+            bb.linear(
+                bb.layer_norm(ag.Tensor(tracer.arrays["block1"]["x"]), store, "backbone.ln_out"),
+                store, "head",
+            ).data,
+        )
 
     def test_gradient_of_logits_everywhere(self):
         config = small_config(blocks=1, patch_size=4)
@@ -244,15 +252,17 @@ class TestForward:
         rng = np.random.default_rng(11)
         cloud = rand_cloud(rng, 16)
         part = geo.serialize(cloud, config.voxel_size, config.patch_size)
-        base = bb.forward(cloud, part, None, None, store, config)
+        base_trace, out_trace = OpCounter(), OpCounter()
+        base = bb.forward(cloud, part, None, None, store, config, tracer=base_trace)
         victim = int(part.index[0, 0])
         other = [int(i) for i in part.index[1] if i >= 0]
         bumped = geo.PointCloud(coords=cloud.coords, feats=cloud.feats.copy())
         bumped.feats[victim, 3:] += 1.0
-        out = bb.forward(bumped, part, None, None, store, config)
+        out = bb.forward(bumped, part, None, None, store, config, tracer=out_trace)
         for blk in range(config.blocks):
             np.testing.assert_array_equal(
-                base.activations.post_ffn[blk][other], out.activations.post_ffn[blk][other]
+                base_trace.arrays[f"block{blk}"]["x"][other],
+                out_trace.arrays[f"block{blk}"]["x"][other],
             )
         assert not np.array_equal(base.logits.data[victim], out.logits.data[victim])
 

@@ -7,11 +7,12 @@ itself, so the two sides stay independent.
 import numpy as np
 import pytest
 
+import pointpeft.autograd as ag
 import pointpeft.backbone as bb
 import pointpeft.instrumentation as ins
 import pointpeft.peft as peft
 from pointpeft.errors import UsageError
-from pointpeft.geometry import PointCloud, serialize
+from pointpeft.geometry import PointCloud, build_neighbor_index, serialize
 
 
 def grid_cloud(n, seed=0, num_classes=3, offset=0.0):
@@ -45,29 +46,38 @@ def make_model(method, n=64, d=32, blocks=2, p=8, rank=4, tokens=2, seed=0):
 class TestOpCounter:
     def test_add_accumulates(self):
         c = ins.OpCounter()
-        c.add("a", 3)
-        c.add("a", 4)
-        c.add("b", 1)
+        c.record("a", 3)
+        c.record("a", 4)
+        c.record("b", 1)
         assert c.sites == {"a": 7, "b": 1}
+
+    def test_arrays_are_copied_and_add_no_count(self):
+        c = ins.OpCounter()
+        live = np.arange(4.0)
+        c.record("a", weights=live)
+        live[:] = -1.0
+        assert c.sites == {}
+        np.testing.assert_array_equal(c.arrays["a"]["weights"], np.arange(4.0))
 
     def test_reset(self):
         c = ins.OpCounter()
-        c.add("a", 3)
+        c.record("a", 3, weights=np.ones(2))
         c.reset()
         assert c.sites == {}
+        assert c.arrays == {}
 
     def test_total_filters_by_substring(self):
         c = ins.OpCounter()
-        c.add("block0.ca.proj", 10)
-        c.add("block0.ca.stage1", 5)
-        c.add("block0.ffn", 100)
+        c.record("block0.ca.proj", 10)
+        c.record("block0.ca.stage1", 5)
+        c.record("block0.ffn", 100)
         assert c.total(".ca.") == 15
         assert c.total() == 115
 
     def test_report_csv_sorted(self):
         c = ins.OpCounter()
-        c.add("b", 2)
-        c.add("a", 1)
+        c.record("b", 2)
+        c.record("a", 1)
         assert c.report_csv() == "site,count\na,1\nb,2\n"
 
 
@@ -140,17 +150,22 @@ class TestCountPass:
 
     def test_counting_does_not_change_outputs(self):
         n = 48
-        bconfig, store, attachment = make_model("gem", n=n)
         cloud = grid_cloud(n)
-        part = serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
-        import pointpeft.geometry as geo
+        for method in peft.METHODS:
+            bconfig, store, attachment = make_model(method, n=n)
+            part = serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
+            nbr = build_neighbor_index(cloud, bconfig.voxel_size)
 
-        nbr = geo.build_neighbor_index(cloud, bconfig.voxel_size)
-        plain = bb.forward(cloud, part, nbr, attachment, store, bconfig)
-        counted = bb.forward(
-            cloud, part, nbr, attachment, store, bconfig, counter=ins.OpCounter()
-        )
-        assert plain.logits.data.tobytes() == counted.logits.data.tobytes()
+            def logits_and_grads(tracer):
+                out = bb.forward(cloud, part, nbr, attachment, store, bconfig, tracer=tracer)
+                ag.backward(ag.cross_entropy(out.logits, cloud.labels))
+                grads = {name: t.grad.tobytes() for name, t in store.trainable_items()}
+                store.zero_grads()
+                return out.logits.data.tobytes(), grads
+
+            tracer = ins.OpCounter()
+            assert logits_and_grads(None) == logits_and_grads(tracer), method
+            assert tracer.arrays  # the traced pass really kept copies
 
     def test_counter_monotone_within_pass(self):
         class Watch(ins.OpCounter):
@@ -158,20 +173,18 @@ class TestCountPass:
                 super().__init__()
                 self.totals = []
 
-            def add(self, site, madds):
-                assert madds > 0
-                super().add(site, madds)
+            def record(self, site, madds=0, **arrays):
+                assert madds > 0 or arrays
+                super().record(site, madds, **arrays)
                 self.totals.append(self.total())
 
         n = 48
         bconfig, store, attachment = make_model("gem", n=n)
         cloud = grid_cloud(n)
         part = serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
-        import pointpeft.geometry as geo
-
-        nbr = geo.build_neighbor_index(cloud, bconfig.voxel_size)
+        nbr = build_neighbor_index(cloud, bconfig.voxel_size)
         watch = Watch()
-        bb.forward(cloud, part, nbr, attachment, store, bconfig, counter=watch)
+        bb.forward(cloud, part, nbr, attachment, store, bconfig, tracer=watch)
         assert watch.totals == sorted(watch.totals)
 
 
@@ -254,6 +267,18 @@ class TestDumpAttention:
                 assert sorted(token_rows) == list(range(n))
                 # prompt columns are a slice of a softmax row, not a full row
                 assert all(0.0 <= w <= 1.0 for w in token_rows.values())
+
+    @pytest.mark.parametrize("method", ["gem_ca_only", "prompt"])
+    def test_only_insertion_blocks_are_dumped(self, tmp_path, method):
+        n = 48
+        bconfig = bb.BackboneConfig(d=32, blocks=2, patch_size=8, heads=4, voxel_size=1.0)
+        store = bb.init_backbone(bconfig, seed=0)
+        pconfig = peft.PeftConfig(method=method, rank=4, tokens=2, blocks=(1,))
+        attachment = peft.attach(pconfig, store, bconfig, seed=0)
+        path = tmp_path / "attn.csv"
+        ins.dump_attention(grid_cloud(n), store, bconfig, attachment, path)
+        blocks = [ln for ln in path.read_text().splitlines() if ln.startswith("# block")]
+        assert blocks == ["# block 1"]
 
     def test_methods_without_global_tokens_rejected(self, tmp_path):
         n = 32

@@ -6,6 +6,7 @@ from pointpeft import backbone as bb
 from pointpeft import geometry as geo
 from pointpeft import peft
 from pointpeft.errors import ContractError, InfeasibleBudgetError, UsageError
+from pointpeft.instrumentation import OpCounter
 
 
 def small_config(**kw):
@@ -113,20 +114,52 @@ class TestLora:
         assert np.abs(bumped - base).max() > 0
 
 
+def prompt_attention_oracle(x, store, prefix, heads, part, pk, pv):
+    """Plain-numpy patch attention with prompts prepended to every patch's
+    keys and values; padded slots take no part."""
+    def lin(name):
+        return x @ store[f"{prefix}.{name}.weight"].data + store[f"{prefix}.{name}.bias"].data
+
+    q, k, v = lin("q"), lin("k"), lin("v")
+    d = x.shape[1]
+    dh = d // heads
+    out = np.zeros_like(x)
+    for row in part.index:
+        pts = row[row >= 0]
+        for h in range(heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            keys = np.vstack([pk[:, sl], k[pts, sl]])
+            vals = np.vstack([pv[:, sl], v[pts, sl]])
+            logits = q[pts, sl] @ keys.T / np.sqrt(dh)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            out[pts, sl] = (e / e.sum(axis=1, keepdims=True)) @ vals
+    return out @ store[f"{prefix}.out.weight"].data + store[f"{prefix}.out.bias"].data
+
+
 class TestPrompt:
-    def test_masked_prompts_reduce_to_base_attention(self):
-        bconfig, store, _, attachment = attached_model("prompt", seed=6, tokens=3)
-        cloud = rand_cloud(np.random.default_rng(4), 16)
-        base = run(cloud, bconfig, store).logits.data
-        attachment.prompt_logit_bias = -1e30
-        masked = run(cloud, bconfig, store, attachment).logits.data
-        assert np.abs(masked - base).max() < 1e-12
+    def test_prompt_attention_matches_numpy_oracle(self):
+        bconfig = small_config()
+        store = bb.init_backbone(bconfig, 6)
+        prefix = "backbone.block0.attn"
+        for seed in range(4):
+            rng = np.random.default_rng(40 + seed)
+            n, m = (13, 10, 7, 16)[seed], seed + 1
+            cloud = rand_cloud(rng, n)
+            part = geo.serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
+            x = rng.normal(size=(n, bconfig.d))
+            pk, pv = rng.normal(size=(m, bconfig.d)), rng.normal(size=(m, bconfig.d))
+            mods = bb.AttnMods(prompt_k=ag.Tensor(pk), prompt_v=ag.Tensor(pv))
+            got = bb.local_attention(ag.Tensor(x), part, store, prefix, bconfig.heads, mods=mods)
+            want = prompt_attention_oracle(x, store, prefix, bconfig.heads, part, pk, pv)
+            assert np.abs(got.data - want).max() <= 1e-10
 
     def test_rows_sum_to_one_over_points_plus_prompts(self):
         bconfig, store, _, attachment = attached_model("prompt", seed=7, tokens=3)
         cloud = rand_cloud(np.random.default_rng(5), 10)
-        result = run(cloud, bconfig, store, attachment, record_attn=True)
-        for weights in result.activations.attn_weights:
+        tracer = OpCounter()
+        run(cloud, bconfig, store, attachment, tracer=tracer)
+        for i in range(bconfig.blocks):
+            weights = tracer.arrays[f"block{i}.local_attn"]["weights"]
             assert weights.shape[-1] == bconfig.patch_size + 3
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -222,27 +255,29 @@ class TestContextAdapter:
     def test_zero_up_still_updates_latents(self):
         bconfig, store, _, attachment = attached_model("gem_ca_only", seed=12, rank=4, tokens=2)
         cloud = rand_cloud(np.random.default_rng(12), 12)
-        result = run(cloud, bconfig, store, attachment)
-        trace = result.latent.trace
-        assert len(trace) == bconfig.blocks
-        assert any(np.abs(lc).max() > 0 for _, lc in trace)
+        tracer = OpCounter()
+        run(cloud, bconfig, store, attachment, tracer=tracer)
+        updates = [tracer.arrays[f"block{i}.ca.stage1"]["L_c"] for i in range(bconfig.blocks)]
+        assert any(np.abs(lc).max() > 0 for lc in updates)
 
     def test_singleton_token_gives_uniform_stage2(self):
         bconfig, store, _, attachment = attached_model("gem_ca_only", seed=13, rank=4, tokens=1)
-        attachment.ca_sink = []
+        tracer = OpCounter()
         cloud = rand_cloud(np.random.default_rng(13), 10)
-        run(cloud, bconfig, store, attachment)
-        for entry in attachment.ca_sink:
-            np.testing.assert_array_equal(entry["stage2"], np.ones((10, 1)))
+        run(cloud, bconfig, store, attachment, tracer=tracer)
+        for i in range(bconfig.blocks):
+            stage2 = tracer.arrays[f"block{i}.ca.stage2"]["weights"]
+            np.testing.assert_array_equal(stage2, np.ones((10, 1)))
 
     def test_stage1_rows_normalized(self):
         bconfig, store, _, attachment = attached_model("gem_ca_only", seed=14, tokens=3, rank=4)
-        attachment.ca_sink = []
+        tracer = OpCounter()
         cloud = rand_cloud(np.random.default_rng(14), 20)
-        run(cloud, bconfig, store, attachment)
-        for entry in attachment.ca_sink:
-            assert entry["stage1"].shape == (3, 20)
-            np.testing.assert_allclose(entry["stage1"].sum(axis=1), 1.0, atol=1e-9)
+        run(cloud, bconfig, store, attachment, tracer=tracer)
+        for i in range(bconfig.blocks):
+            stage1 = tracer.arrays[f"block{i}.ca.stage1"]["weights"]
+            assert stage1.shape == (3, 20)
+            np.testing.assert_allclose(stage1.sum(axis=1), 1.0, atol=1e-9)
 
     def test_parameter_count(self):
         bconfig = small_config(d=64, heads=4, blocks=8)
@@ -289,8 +324,11 @@ class TestSharingModes:
             "gem_ca_only", seed=seed, rank=4, tokens=2, sharing=sharing
         )
         cloud = rand_cloud(np.random.default_rng(seed), 12)
-        result = run(cloud, bconfig, store, attachment)
-        return store["peft.ca.latent"].data, result.latent.trace, bconfig
+        tracer = OpCounter()
+        run(cloud, bconfig, store, attachment, tracer=tracer)
+        records = [tracer.arrays[f"block{i}.ca.stage1"] for i in range(bconfig.blocks)]
+        trace = [(r["L_in"], r["L_c"]) for r in records]
+        return store["peft.ca.latent"].data, trace, bconfig
 
     def test_per_block_always_starts_from_initial(self):
         L0, trace, _ = self.trace_for("per_block")
