@@ -10,7 +10,7 @@ contiguous local patches.
 import numpy as np
 
 import pointpeft as pp
-from pointpeft.geometry import stencil_offsets, voxel_keys, voxelize
+from pointpeft.geometry import stencil_offsets, voxel_keys
 
 # a scene spec is a tiny recipe: primitive classes, points per class, noise
 spec = pp.source_spec(points_per_class=32)
@@ -22,11 +22,12 @@ print("label histogram:", np.bincount(cloud.labels, minlength=cloud.num_classes)
 # features carry the noisy coordinates plus analytic surface normals
 print("first point:", np.round(cloud.feats[0], 3))
 
-# voxelization buckets points by integer grid cell
+# voxelization buckets points by integer grid cell; the neighbor index keeps
+# the points of each occupied voxel
 keys = voxel_keys(cloud.coords, voxel_size=0.5)
-buckets = voxelize(cloud, voxel_size=0.5)
-print(f"\n{len(buckets)} occupied voxels at voxel_size=0.5")
-print("largest bucket holds", max(len(v) for v in buckets.values()), "points")
+nbr = pp.build_neighbor_index(cloud, voxel_size=0.5)
+print(f"\n{nbr.num_voxels} occupied voxels at voxel_size=0.5")
+print("largest voxel holds", max(len(v) for v in nbr.voxel_points), "points")
 
 # Morton codes interleave the voxel coordinates bit by bit, so nearby cells
 # get nearby codes; sorting by code gives a locality-preserving point order
@@ -56,7 +57,6 @@ print("mean spread, random groups: ",
       round(mean_patch_spread(shuffled.reshape(part.index.shape)), 3))
 
 # the 3x3x3 stencil indexes neighbor voxels for the spatial adapter
-nbr = pp.build_neighbor_index(cloud, voxel_size=0.5)
 offsets = stencil_offsets(3)
 occupied = int((nbr.neighbor_voxels >= 0).sum())
 print(f"\nstencil of {len(offsets)} offsets; "

@@ -16,7 +16,8 @@ matmul with a shared right operand).
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Iterator
+import math
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -170,16 +171,6 @@ def div(a, b) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def pow_const(a, exponent: float) -> Tensor:
-    a = _wrap(a)
-    data = a.data**exponent
-
-    def bwd(g: Array) -> None:
-        _accum(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _node(data, (a,), bwd)
-
-
 def exp(a) -> Tensor:
     a = _wrap(a)
     data = np.exp(a.data)
@@ -204,7 +195,7 @@ def relu(a) -> Tensor:
     """Elementwise max(0, x). The gate at exactly 0 is 0 (subgradient choice)."""
     a = _wrap(a)
     gate = a.data > 0.0
-    data = np.where(gate, a.data, 0.0)
+    data = np.fmax(a.data, 0.0)  # like where(gate, a, 0), NaN included, without branches
 
     def bwd(g: Array) -> None:
         _accum(a, g * gate)
@@ -248,74 +239,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def bwd(g: Array) -> None:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g / count, a.data.shape))
-
-    return _node(data, (a,), bwd)
-
-
-def softmax_rows(a) -> Tensor:
-    """Softmax over the last axis, stabilized by row-max subtraction."""
-    a = _wrap(a)
-    if np.isnan(a.data).any():
-        raise NumericError("softmax input contains NaN")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g: Array) -> None:
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accum(a, s * (g - dot))
-
-    return _node(s, (a,), bwd)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    data = a.data.reshape(shape)
-
-    def bwd(g: Array) -> None:
-        _accum(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), bwd)
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _wrap(a)
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = np.argsort(axes)
-
-    def bwd(g: Array) -> None:
-        _accum(a, np.transpose(g, inverse))
-
-    return _node(data, (a,), bwd)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    bounds = np.cumsum([0] + sizes)
-
-    def bwd(g: Array) -> None:
-        for t, lo, hi in zip(ts, bounds[:-1], bounds[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _node(data, tuple(ts), bwd)
-
-
 def gather_rows(a, index) -> Tensor:
     """Select rows along axis 0; index -1 yields a zero row."""
     a = _wrap(a)
@@ -351,17 +274,6 @@ def group_mean(a, groups, num_groups: int) -> Tensor:
     return _node(data, (a,), bwd)
 
 
-def expand_batch(a, reps: int) -> Tensor:
-    """Replicate a tensor along a new leading axis: (..) -> (reps, ..)."""
-    a = _wrap(a)
-    data = np.broadcast_to(a.data, (reps,) + a.data.shape).copy()
-
-    def bwd(g: Array) -> None:
-        _accum(a, g.sum(axis=0))
-
-    return _node(data, (a,), bwd)
-
-
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels, stabilized."""
     logits = _wrap(logits)
@@ -386,6 +298,194 @@ def cross_entropy(logits, labels) -> Tensor:
         _accum(logits, gl * (np.asarray(g).reshape(()) / n))
 
     return _node(data, (logits,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one node each, closed-form backward
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b for rows x (n, i), weight (i, o) and bias row (o,)."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"affine needs (n, i) x (i, o), got {x.shape} x {w.shape}")
+    data = x.data @ w.data + b.data
+
+    def bwd(g: Array) -> None:
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _node(data, (x, w, b), bwd)
+
+
+def layer_norm(x, scale, shift, eps: float) -> Tensor:
+    """Normalize each row to zero mean and unit variance, then scale and shift."""
+    x, scale, shift = _wrap(x), _wrap(scale), _wrap(shift)
+    d = x.data.shape[-1]
+
+    def row_mean(a: Array) -> Array:  # bitwise equal to a.mean(axis=-1), cheaper
+        return a.sum(axis=-1, keepdims=True) / d
+
+    centered = x.data - row_mean(x.data)
+    inv = (row_mean(centered * centered) + eps) ** -0.5
+    xhat = centered * inv
+    data = xhat * scale.data + shift.data
+
+    def bwd(g: Array) -> None:
+        if x.requires_grad:
+            gx = g * scale.data
+            _accum(x, inv * (gx - row_mean(gx) - xhat * row_mean(gx * xhat)))
+        if scale.requires_grad:
+            _accum(scale, _unbroadcast(g * xhat, scale.data.shape))
+        if shift.requires_grad:
+            _accum(shift, _unbroadcast(g, shift.data.shape))
+
+    return _node(data, (x, scale, shift), bwd)
+
+
+def softmax(z: Array) -> Array:
+    """Softmax over the last axis, stabilized by row-max subtraction."""
+    if np.isnan(z).any():
+        raise NumericError("softmax input contains NaN")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_grad(s: Array, g: Array) -> Array:
+    """Gradient at the logits, given softmax output `s` and its gradient `g`."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def attend(q, k, v, scale: float) -> tuple[Tensor, Array]:
+    """softmax(q k^T * scale) v as one node; also returns the softmax weights."""
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    weights = softmax((q.data @ k.data.T) * scale)
+    data = weights @ v.data
+
+    def bwd(g: Array) -> None:
+        if v.requires_grad:
+            _accum(v, weights.T @ g)
+        if q.requires_grad or k.requires_grad:
+            gl = softmax_grad(weights, g @ v.data.T) * scale
+            if q.requires_grad:
+                _accum(q, gl @ k.data)
+            if k.requires_grad:
+                _accum(k, gl.T @ q.data)
+
+    return _node(data, (q, k, v), bwd), weights
+
+
+MASK_LOGIT = -1e30  # underflows to an exactly-zero weight after the max shift
+
+
+def _to_slots(a: Array, index: Array, heads: int) -> Array:
+    """(n, d) rows -> (patches*heads, p, d/heads) by patch slot, zero in padded slots."""
+    patches, p = index.shape
+    rows = a[index]
+    rows[index < 0] = 0.0
+    split = rows.reshape(patches, p, heads, -1).transpose(0, 2, 1, 3)
+    return split.reshape(patches * heads, p, -1)
+
+
+def _to_points(a: Array, index: Array, n: int) -> Array:
+    """Inverse of `_to_slots`: back to (n, d) in point order, padded slots dropped."""
+    patches, p = index.shape
+    slots = a.reshape(patches, -1, p, a.shape[-1]).transpose(0, 2, 1, 3).reshape(patches * p, -1)
+    flat = index.ravel()
+    valid = flat >= 0
+    out = np.empty((n, slots.shape[1]))
+    out[flat[valid]] = slots[valid]
+    return out
+
+
+def patch_attention(q, k, v, index, heads: int, prompt_k=None, prompt_v=None) -> tuple[Tensor, Array]:
+    """Multi-head softmax attention inside each patch, as one node.
+
+    q, k, v are (n, d) in point order; `index` is (patches, p) point ids
+    with -1 in padded slots.  Optional prompts (m, d) are prepended to every
+    patch's keys and values.  Padded keys are masked out and padded queries
+    dropped, so the (n, d) output comes back in point order.  Also returns
+    the softmax weights, (patches*heads, p, m+p) with prompt columns first.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    n, d = q.data.shape
+    index = np.asarray(index, dtype=np.int64)
+    patches = index.shape[0]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    qs, ks, vs = (_to_slots(t.data, index, heads) for t in (q, k, v))
+    prompts: tuple[Tensor, ...] = ()
+    m = 0
+    if prompt_k is not None:
+        prompts = (_wrap(prompt_k), _wrap(prompt_v))
+        m = prompts[0].data.shape[0]
+
+        def per_patch(t: Tensor) -> Array:
+            split = t.data.reshape(m, heads, dh).transpose(1, 0, 2)
+            return np.broadcast_to(split, (patches, heads, m, dh)).reshape(patches * heads, m, dh)
+
+        ks = np.concatenate([per_patch(prompts[0]), ks], axis=1)
+        vs = np.concatenate([per_patch(prompts[1]), vs], axis=1)
+
+    logits = (qs @ ks.transpose(0, 2, 1)) * scale
+    key_pad = np.repeat(index < 0, heads, axis=0)[:, None, :]
+    logits[:, :, m:] = np.where(key_pad, MASK_LOGIT, logits[:, :, m:])
+    weights = softmax(logits)
+    data = _to_points(weights @ vs, index, n)
+
+    def bwd(g: Array) -> None:
+        gs = _to_slots(g, index, heads)
+        gv = weights.transpose(0, 2, 1) @ gs
+        gl = softmax_grad(weights, gs @ vs.transpose(0, 2, 1)) * scale
+        gq = gl @ ks
+        gk = gl.transpose(0, 2, 1) @ qs
+        for t, grad in ((q, gq), (k, gk[:, m:]), (v, gv[:, m:])):
+            if t.requires_grad:
+                _accum(t, _to_points(grad, index, n))
+        for t, grad in zip(prompts, (gk[:, :m], gv[:, :m])):
+            if t.requires_grad:
+                summed = grad.reshape(patches, heads, m, dh).sum(axis=0)
+                _accum(t, summed.transpose(1, 0, 2).reshape(m, d))
+
+    return _node(data, (q, k, v, *prompts), bwd), weights
+
+
+def stencil(vox, neighbors, kernels) -> Tensor:
+    """Sum over slots s of vox[neighbors[:, s]] @ kernels[s], as one node.
+
+    `vox` is (V, r); `neighbors` (V, S) holds voxel ids, -1 for an empty
+    slot, which contributes nothing.  The S gathered rows sit side by side,
+    (V, S*r), times the S kernels (r, o) stacked in slot order, (S*r, o).
+    """
+    vox = _wrap(vox)
+    kernels = tuple(_wrap(kern) for kern in kernels)
+    flat = np.asarray(neighbors, dtype=np.int64).ravel()
+    num_voxels, r = vox.data.shape
+    empty = flat < 0
+    gathered = vox.data[flat]
+    gathered[empty] = 0.0
+    gathered = gathered.reshape(num_voxels, -1)
+    stacked = np.concatenate([kern.data for kern in kernels])
+    if stacked.shape[0] != gathered.shape[1]:
+        raise ShapeError(f"{len(kernels)} kernels of {kernels[0].shape} for {gathered.shape} neighbors")
+    data = gathered @ stacked
+
+    def bwd(g: Array) -> None:
+        if vox.requires_grad:
+            spread = (g @ stacked.T).reshape(-1, r)
+            gv = np.zeros_like(vox.data)
+            np.add.at(gv, flat[~empty], spread[~empty])
+            _accum(vox, gv)
+        gk = gathered.T @ g
+        for s, kern in enumerate(kernels):
+            if kern.requires_grad:
+                _accum(kern, gk[s * r : (s + 1) * r])
+
+    return _node(data, (vox, *kernels), bwd)
 
 
 # ---------------------------------------------------------------------------

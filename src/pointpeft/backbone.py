@@ -166,18 +166,11 @@ def init_backbone(config: BackboneConfig, seed: int) -> ParamStore:
 
 
 def linear(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    return ag.add(ag.matmul(x, store[f"{prefix}.weight"]), store[f"{prefix}.bias"])
+    return ag.affine(x, store[f"{prefix}.weight"], store[f"{prefix}.bias"])
 
 
 def layer_norm(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    mu = ag.tmean(x, axis=-1, keepdims=True)
-    centered = ag.sub(x, mu)
-    var = ag.tmean(ag.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ag.pow_const(ag.add(var, LN_EPS), -0.5)
-    return ag.add(
-        ag.mul(ag.mul(centered, inv), store[f"{prefix}.scale"]),
-        store[f"{prefix}.shift"],
-    )
+    return ag.layer_norm(x, store[f"{prefix}.scale"], store[f"{prefix}.shift"], LN_EPS)
 
 
 def embed(cloud: PointCloud, store: ParamStore) -> Tensor:
@@ -186,17 +179,16 @@ def embed(cloud: PointCloud, store: ParamStore) -> Tensor:
         raise ShapeError(
             f"cloud has {cloud.c} feature channels, embedding expects {weight.shape[0]}"
         )
-    return ag.add(ag.matmul(Tensor(cloud.feats), weight), store["backbone.embed.bias"])
+    return ag.affine(Tensor(cloud.feats), weight, store["backbone.embed.bias"])
 
 
 def pos_encode(coords: Tensor, store: ParamStore) -> Tensor:
-    hidden = ag.relu(ag.add(ag.matmul(coords, store["backbone.pos.w1"]), store["backbone.pos.b1"]))
-    return ag.add(ag.matmul(hidden, store["backbone.pos.w2"]), store["backbone.pos.b2"])
+    hidden = ag.relu(ag.affine(coords, store["backbone.pos.w1"], store["backbone.pos.b1"]))
+    return ag.affine(hidden, store["backbone.pos.w2"], store["backbone.pos.b2"])
 
 
 def ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    hidden = ag.relu(linear(x, store, f"{prefix}.fc1"))
-    return ag.add(ag.matmul(hidden, store[f"{prefix}.fc2.weight"]), store[f"{prefix}.fc2.bias"])
+    return linear(ag.relu(linear(x, store, f"{prefix}.fc1")), store, f"{prefix}.fc2")
 
 
 @dataclass
@@ -207,17 +199,6 @@ class AttnMods:
     lora_k: tuple[Tensor, Tensor] | None = None
     prompt_k: Tensor | None = None  # m x d, prepended as extra keys
     prompt_v: Tensor | None = None
-
-
-MASK_LOGIT = -1e30  # underflows to an exactly-zero weight after the max shift
-
-
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    """(P, s, d) -> (P*heads, s, d/heads)."""
-    patches, s, d = t.shape
-    t = ag.reshape(t, (patches, s, heads, d // heads))
-    t = ag.transpose(t, (0, 2, 1, 3))
-    return ag.reshape(t, (patches * heads, s, d // heads))
 
 
 def local_attention(
@@ -242,15 +223,15 @@ def local_attention(
         raise ContractError(f"partition built for {part.n} points, got {n}")
     if d % heads != 0:
         raise ContractError(f"width {d} not divisible by {heads} heads")
-    patches, p = part.num_patches, part.patch_size
     dh = d // heads
+    mods = mods or AttnMods()
 
     q = linear(x, store, f"{prefix}.q")
     k = linear(x, store, f"{prefix}.k")
     v = linear(x, store, f"{prefix}.v")
     if tracer is not None:
         tracer.record(f"{site}.attn_proj", 4 * n * d * d)
-    if mods is not None and mods.lora_q is not None:
+    if mods.lora_q is not None:
         down, up = mods.lora_q
         q = ag.add(q, ag.matmul(ag.matmul(x, down), up))
         down, up = mods.lora_k
@@ -258,38 +239,11 @@ def local_attention(
         if tracer is not None:
             tracer.record(f"{site}.lora", 4 * n * d * down.shape[1])
 
-    flat_idx = part.index.ravel()
-    qp = _split_heads(ag.reshape(ag.gather_rows(q, flat_idx), (patches, p, d)), heads)
-    kp = _split_heads(ag.reshape(ag.gather_rows(k, flat_idx), (patches, p, d)), heads)
-    vp = _split_heads(ag.reshape(ag.gather_rows(v, flat_idx), (patches, p, d)), heads)
-
-    m = 0
-    if mods is not None and mods.prompt_k is not None:
-        m = mods.prompt_k.shape[0]
-
-        def per_patch(tokens: Tensor) -> Tensor:
-            t = ag.transpose(ag.reshape(tokens, (m, heads, dh)), (1, 0, 2))
-            return ag.reshape(ag.expand_batch(t, patches), (patches * heads, m, dh))
-
-        kp = ag.concat([per_patch(mods.prompt_k), kp], axis=1)
-        vp = ag.concat([per_patch(mods.prompt_v), vp], axis=1)
-
-    logits = ag.mul(ag.matmul(qp, ag.transpose(kp, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    mask = np.zeros((patches, 1, m + p))
-    mask[:, 0, m:][part.pad_mask] = MASK_LOGIT
-    logits = ag.add(logits, Tensor(np.repeat(mask, heads, axis=0)))
-    weights = ag.softmax_rows(logits)
+    out, weights = ag.patch_attention(q, k, v, part.index, heads, mods.prompt_k, mods.prompt_v)
     if tracer is not None:
-        madds = 2 * patches * heads * p * (m + p) * dh
-        tracer.record(f"{site}.local_attn", madds, weights=weights.data)
-
-    out = ag.matmul(weights, vp)  # (patches*heads, p, dh)
-    out = ag.reshape(ag.transpose(ag.reshape(out, (patches, heads, p, dh)), (0, 2, 1, 3)), (patches * p, d))
-    slot_of_point = np.empty(n, dtype=np.int64)
-    valid = flat_idx >= 0
-    slot_of_point[flat_idx[valid]] = np.nonzero(valid)[0]
-    gathered = ag.gather_rows(out, slot_of_point)
-    return linear(gathered, store, f"{prefix}.out")
+        madds = 2 * weights.shape[0] * part.patch_size * weights.shape[2] * dh
+        tracer.record(f"{site}.local_attn", madds, weights=weights)
+    return linear(out, store, f"{prefix}.out")
 
 
 @dataclass

@@ -70,15 +70,6 @@ def voxel_keys(coords: Array, voxel_size: float) -> Array:
     return np.floor(np.asarray(coords, dtype=np.float64) / voxel_size).astype(np.int64)
 
 
-def voxelize(cloud: PointCloud, voxel_size: float) -> dict[tuple[int, int, int], list[int]]:
-    """Bucket point indices by voxel key; every point lands in exactly one bucket."""
-    keys = voxel_keys(cloud.coords, voxel_size)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        buckets.setdefault(tuple(int(v) for v in key), []).append(i)
-    return buckets
-
-
 def _spread_bits(v: Array) -> Array:
     """Spread the low 21 bits of each value so bit j moves to bit 3j."""
     v = v.astype(np.uint64)
@@ -207,6 +198,27 @@ class NeighborIndex:
         return self.voxel_points[v]
 
 
+def _pack_keys(occupied: Array, keys: Array) -> tuple[Array, Array]:
+    """One int64 per key row, ordered like the rows; False where a key has a
+    coordinate no occupied voxel shares (no voxel can match it).
+
+    Each axis is replaced by its rank among the occupied coordinates on
+    that axis, so the packed value stays below V^3 for V occupied voxels.
+    """
+    packed = np.zeros(keys.shape[0], dtype=np.int64)
+    present = np.ones(keys.shape[0], dtype=bool)
+    span = 1
+    for axis in range(3):
+        values = np.unique(occupied[:, axis])
+        rank = np.minimum(np.searchsorted(values, keys[:, axis]), values.size - 1)
+        present &= values[rank] == keys[:, axis]
+        packed = packed * values.size + rank
+        span *= values.size
+    if span > np.iinfo(np.int64).max:
+        raise DataError(f"{occupied.shape[0]} occupied voxels are too many to pack into int64")
+    return packed, present
+
+
 def build_neighbor_index(cloud: PointCloud, voxel_size: float, k: int = 3) -> NeighborIndex:
     """Index each point's k^3 stencil of vicinity voxels."""
     offsets = stencil_offsets(k)
@@ -215,14 +227,16 @@ def build_neighbor_index(cloud: PointCloud, voxel_size: float, k: int = 3) -> Ne
     inverse = inverse.reshape(-1)
     by_voxel = np.argsort(inverse, kind="stable")
     counts = np.bincount(inverse, minlength=uniq.shape[0])
-    voxel_points = tuple(np.split(by_voxel, np.cumsum(counts)[:-1]))
-    ids = {tuple(int(v) for v in key): vid for vid, key in enumerate(uniq)}
-    neighbor_voxels = np.full((uniq.shape[0], offsets.shape[0]), -1, dtype=np.int64)
-    for vid, key in enumerate(uniq):
-        for s, off in enumerate(offsets):
-            neighbor_voxels[vid, s] = ids.get(
-                (int(key[0] + off[0]), int(key[1] + off[1]), int(key[2] + off[2])), -1
-            )
+    ends = np.cumsum(counts)
+    voxel_points = tuple(by_voxel[a:b] for a, b in zip(ends - counts, ends))
+    num_voxels = uniq.shape[0]
+    wanted = (uniq[:, None, :] + offsets).reshape(-1, 3)
+    packed, present = _pack_keys(uniq, np.concatenate([uniq, wanted]))
+    occupied, wanted, present = packed[:num_voxels], packed[num_voxels:], present[num_voxels:]
+    # `occupied` ascends, as `uniq` is sorted row by row
+    slot = np.minimum(np.searchsorted(occupied, wanted), num_voxels - 1)
+    found = present & (occupied[slot] == wanted)
+    neighbor_voxels = np.where(found, slot, -1).reshape(num_voxels, offsets.shape[0])
     return NeighborIndex(
         num_points=cloud.n,
         k=k,

@@ -193,6 +193,11 @@ class PeftAttachment:
 # branch computations
 
 
+def _kernel_name(offset, k: int) -> str:
+    """`peft.sa.kern.XYZ`: the offset's digits shifted to 0..k-1."""
+    return "peft.sa.kern." + "".join(str(int(v) + k // 2) for v in offset)
+
+
 def adapter_branch(x: Tensor, down: Tensor, up: Tensor) -> Tensor:
     """Bottleneck residual block: x + relu(x W_down) W_up."""
     return ag.add(x, ag.matmul(ag.relu(ag.matmul(x, down)), up))
@@ -204,24 +209,18 @@ def spatial_adapter_branch(
     """Stencil aggregation branch (no residual; the caller adds it).
 
     Project to r dims, average per occupied voxel, apply one r x r kernel per
-    stencil offset, sum, ReLU, project back up.  Empty offsets contribute
-    nothing.
+    stencil offset and sum (one `ag.stencil` node), ReLU, project back up.
+    Empty offsets contribute nothing.
     """
     n, d = x.shape
     down, up = store["peft.sa.down"], store["peft.sa.up"]
     r = down.shape[1]
-    xd = ag.matmul(x, down)
-    vox = ag.group_mean(xd, nbr.voxel_of_point, nbr.num_voxels)
-    acc = None
-    offsets = nbr.offsets
-    for s in range(offsets.shape[0]):
-        digits = "".join(str(int(v) + nbr.k // 2) for v in offsets[s])
-        kern = store[f"peft.sa.kern.{digits}"]
-        term = ag.matmul(ag.gather_rows(vox, nbr.neighbor_voxels[:, s]), kern)
-        acc = term if acc is None else ag.add(acc, term)
-    per_point = ag.gather_rows(acc, nbr.voxel_of_point)
+    vox = ag.group_mean(ag.matmul(x, down), nbr.voxel_of_point, nbr.num_voxels)
+    kernels = [store[_kernel_name(off, nbr.k)] for off in nbr.offsets]
+    mixed = ag.stencil(vox, nbr.neighbor_voxels, kernels)
+    per_point = ag.gather_rows(mixed, nbr.voxel_of_point)
     if tracer is not None:
-        tracer.record("sa", n * d * r + offsets.shape[0] * nbr.num_voxels * r * r + n * r * d)
+        tracer.record("sa", n * d * r + len(kernels) * nbr.num_voxels * r * r + n * r * d)
     return ag.matmul(ag.relu(per_point), up)
 
 
@@ -259,28 +258,21 @@ def context_adapter_branch(
         L_in = latent.L
     m = L_in.shape[0]
 
-    keys = ag.matmul(x, k_down)
-    vals = ag.matmul(x, v_down)
-    queries = ag.matmul(x, q_down)
     scale = 1.0 / math.sqrt(r)
-
-    stage1 = ag.softmax_rows(ag.mul(ag.matmul(ag.matmul(L_in, wq), ag.transpose(keys)), scale))
-    L_c = ag.matmul(stage1, vals)  # (m, r)
-
-    keys2 = ag.matmul(L_c, wk)
-    vals2 = ag.matmul(L_c, wv)
-    stage2 = ag.softmax_rows(ag.mul(ag.matmul(queries, ag.transpose(keys2)), scale))
-    branch = ag.matmul(ag.matmul(stage2, vals2), up)
+    keys, vals = ag.matmul(x, k_down), ag.matmul(x, v_down)
+    L_c, stage1 = ag.attend(ag.matmul(L_in, wq), keys, vals, scale)  # L_c: (m, r)
+    mixed, stage2 = ag.attend(ag.matmul(x, q_down), ag.matmul(L_c, wk), ag.matmul(L_c, wv), scale)
+    branch = ag.matmul(mixed, up)
 
     if tracer is not None:
         site = f"block{block}.ca"
         tracer.record(f"{site}.proj", 3 * n * d * r)
         tracer.record(
             f"{site}.stage1", m * r * r + 2 * m * n * r,
-            weights=stage1.data, L_in=L_in.data, L_c=L_c.data,
+            weights=stage1, L_in=L_in.data, L_c=L_c.data,
         )
         tracer.record(
-            f"{site}.stage2", 2 * m * r * r + 2 * n * m * r + n * r * d, weights=stage2.data
+            f"{site}.stage2", 2 * m * r * r + 2 * n * m * r + n * r * d, weights=stage2
         )
 
     stage = bconfig.stage_of(block)
@@ -318,8 +310,7 @@ def _add_peft_params(
     if config.has_spatial:
         store.add("peft.sa.down", down((d, r)))
         for off in stencil_offsets(config.k):
-            digits = "".join(str(int(v) + config.k // 2) for v in off)
-            store.add(f"peft.sa.kern.{digits}", down((r, r)))
+            store.add(_kernel_name(off, config.k), down((r, r)))
         store.add("peft.sa.up", np.zeros((r, d)))
     if config.has_context:
         for i in blocks:

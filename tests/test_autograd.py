@@ -70,28 +70,30 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    """The softmax helper shared by both attention ops."""
+
     def test_symmetric_row(self):
-        out = ag.softmax_rows(ag.Tensor([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
+        out = ag.softmax(np.array([[0.0, 0.0]]))
+        np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_huge_logit_no_overflow(self):
-        out = ag.softmax_rows(ag.Tensor([[1000.0, 0.0]]))
-        assert np.isfinite(out.data).all()
-        assert out.data[0, 0] == pytest.approx(1.0, abs=1e-12)
+        out = ag.softmax(np.array([[1000.0, 0.0]]))
+        assert np.isfinite(out).all()
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_log_integers(self):
-        out = ag.softmax_rows(ag.Tensor([[np.log(1.0), np.log(2.0), np.log(3.0)]]))
-        np.testing.assert_allclose(out.data, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-15)
+        out = ag.softmax(np.array([[np.log(1.0), np.log(2.0), np.log(3.0)]]))
+        np.testing.assert_allclose(out, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-15)
 
     def test_nan_rejected(self):
         with pytest.raises(NumericError):
-            ag.softmax_rows(ag.Tensor([[np.nan, 0.0]]))
+            ag.softmax(np.array([[np.nan, 0.0]]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), st.floats(-100, 100))
     def test_rows_sum_to_one_and_shift_invariant(self, row, shift):
-        base = ag.softmax_rows(ag.Tensor([row])).data
-        shifted = ag.softmax_rows(ag.Tensor([[v + shift for v in row]])).data
+        base = ag.softmax(np.array([row]))
+        shifted = ag.softmax(np.array([[v + shift for v in row]]))
         assert abs(base.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
@@ -131,7 +133,6 @@ class TestElementwiseGradients:
     def test_pow_exp_log(self):
         rng = np.random.default_rng(4)
         pos = ag.Tensor(rng.uniform(0.5, 1.5, (3, 3)), requires_grad=True)
-        fd_check(lambda: ag.pow_const(pos, -0.5), [pos])
         fd_check(lambda: ag.exp(pos), [pos])
         fd_check(lambda: ag.log(pos), [pos])
 
@@ -147,23 +148,18 @@ class TestElementwiseGradients:
         a = rand(rng, 3, 4)
         fd_check(lambda: ag.tsum(a), [a])
         fd_check(lambda: ag.tsum(a, axis=1, keepdims=True), [a])
-        fd_check(lambda: ag.tmean(a, axis=-1, keepdims=True), [a])
-        fd_check(lambda: ag.tmean(a), [a])
 
     def test_softmax_gradient(self):
         rng = np.random.default_rng(7)
-        a = rand(rng, 3, 5)
-        w = ag.Tensor(rng.uniform(-1, 1, (3, 5)))
-        fd_check(lambda: ag.mul(ag.softmax_rows(a), w), [a])
-
-    def test_shape_ops(self):
-        rng = np.random.default_rng(8)
-        a = rand(rng, 2, 3, 4)
-        fd_check(lambda: ag.reshape(a, (6, 4)), [a])
-        fd_check(lambda: ag.transpose(a, (1, 0, 2)), [a])
-        b, c = rand(rng, 2, 3), rand(rng, 4, 3)
-        w = ag.Tensor(rng.uniform(-1, 1, (6, 3)))
-        fd_check(lambda: ag.mul(ag.concat([b, c], axis=0), w), [b, c])
+        z = rng.uniform(-1, 1, (3, 5))
+        w = rng.uniform(-1, 1, (3, 5))
+        analytic = ag.softmax_grad(ag.softmax(z), w)
+        h = 1e-6
+        for i in np.ndindex(z.shape):
+            bump = np.zeros_like(z)
+            bump[i] = h
+            num = ((ag.softmax(z + bump) - ag.softmax(z - bump)) * w).sum() / (2 * h)
+            assert abs(analytic[i] - num) < 1e-8
 
     def test_gather_and_group_ops(self):
         rng = np.random.default_rng(9)
@@ -174,12 +170,6 @@ class TestElementwiseGradients:
         groups = np.array([0, 1, 0, 2, 2])
         w2 = ag.Tensor(rng.uniform(-1, 1, (4, 3)))
         fd_check(lambda: ag.mul(ag.group_mean(a, groups, 4), w2), [a])
-
-    def test_expand_batch(self):
-        rng = np.random.default_rng(10)
-        a = rand(rng, 2, 3)
-        w = ag.Tensor(rng.uniform(-1, 1, (4, 2, 3)))
-        fd_check(lambda: ag.mul(ag.expand_batch(a, 4), w), [a])
 
 
 class TestGatherRows:
@@ -268,9 +258,10 @@ class TestCheckGradients:
         w1 = store.add("w1", rng.uniform(-1, 1, (3, 4)))
         w2 = store.add("w2", rng.uniform(-1, 1, (4, 2)))
         x = ag.Tensor(rng.uniform(-1, 1, (5, 3)))
+        labels = np.array([0, 1, 1, 0, 1])
 
         def f():
-            return ag.tsum(ag.softmax_rows(ag.matmul(ag.relu(ag.matmul(x, w1)), w2)))
+            return ag.cross_entropy(ag.matmul(ag.relu(ag.matmul(x, w1)), w2), labels)
 
         assert ag.check_gradients(f, store) < 1e-4
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointpeft import geometry as geo
 from pointpeft.errors import DataError, UsageError
@@ -10,29 +12,40 @@ def make_cloud(coords, **kw):
     return geo.PointCloud(coords=coords, feats=coords.copy(), **kw)
 
 
+def buckets_of(coords, voxel_size):
+    """Voxel key -> sorted point ids, read from the neighbor index's buckets."""
+    cloud = make_cloud(coords)
+    keys = geo.voxel_keys(cloud.coords, voxel_size)
+    nbr = geo.build_neighbor_index(cloud, voxel_size)
+    return {tuple(int(v) for v in keys[pts[0]]): sorted(int(i) for i in pts) for pts in nbr.voxel_points}
+
+
 class TestVoxelize:
+    """Voxel binning: `voxel_keys` and the buckets of `build_neighbor_index`."""
+
     def test_single_point_origin_bucket(self):
-        buckets = geo.voxelize(make_cloud([[0.1, 0.1, 0.1]]), 1.0)
-        assert buckets == {(0, 0, 0): [0]}
+        assert buckets_of([[0.1, 0.1, 0.1]], 1.0) == {(0, 0, 0): [0]}
 
     def test_two_buckets_along_x(self):
-        buckets = geo.voxelize(make_cloud([[0.1, 0, 0], [1.1, 0, 0]]), 1.0)
-        assert buckets == {(0, 0, 0): [0], (1, 0, 0): [1]}
+        assert buckets_of([[0.1, 0, 0], [1.1, 0, 0]], 1.0) == {(0, 0, 0): [0], (1, 0, 0): [1]}
 
     def test_negative_coordinate_floors_down(self):
-        buckets = geo.voxelize(make_cloud([[-0.5, 0, 0]]), 1.0)
-        assert buckets == {(-1, 0, 0): [0]}
+        assert geo.voxel_keys(np.array([[-0.5, 0, 0]]), 1.0).tolist() == [[-1, 0, 0]]
+        assert buckets_of([[-0.5, 0, 0]], 1.0) == {(-1, 0, 0): [0]}
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(UsageError):
-            geo.voxelize(make_cloud([[0, 0, 0]]), 0.0)
+            geo.voxel_keys(np.zeros((1, 3)), 0.0)
 
     def test_every_point_in_exactly_one_bucket(self):
         rng = np.random.default_rng(0)
         cloud = make_cloud(rng.uniform(-3, 3, (100, 3)))
-        buckets = geo.voxelize(cloud, 0.7)
-        seen = sorted(i for pts in buckets.values() for i in pts)
+        nbr = geo.build_neighbor_index(cloud, 0.7)
+        seen = sorted(int(i) for pts in nbr.voxel_points for i in pts)
         assert seen == list(range(100))
+        keys = geo.voxel_keys(cloud.coords, 0.7)
+        for pts in nbr.voxel_points:
+            assert (keys[pts] == keys[pts[0]]).all()
 
 
 class TestMorton:
@@ -116,6 +129,18 @@ class TestPartition:
             geo.partition(np.array([0, 0, 2]), 3, 2)
 
 
+def reference_neighbor_voxels(coords, voxel_size, k=3):
+    """The stencil by dictionary lookup: one probe per voxel and offset."""
+    offsets = geo.stencil_offsets(k)
+    uniq = np.unique(geo.voxel_keys(coords, voxel_size), axis=0)
+    ids = {tuple(int(v) for v in key): vid for vid, key in enumerate(uniq)}
+    out = np.full((uniq.shape[0], offsets.shape[0]), -1, dtype=np.int64)
+    for vid, key in enumerate(uniq):
+        for s, off in enumerate(offsets):
+            out[vid, s] = ids.get(tuple(int(v) for v in key + off), -1)
+    return out
+
+
 class TestNeighborIndex:
     def test_isolated_point_only_center_slot(self):
         nbr = geo.build_neighbor_index(make_cloud([[0.5, 0.5, 0.5]]), 1.0)
@@ -156,6 +181,33 @@ class TestNeighborIndex:
             for off in nbr.offsets:
                 for j in nbr.neighbors(i, off):
                     assert i in nbr.neighbors(int(j), -off)
+
+    def test_one_voxel(self):
+        nbr = geo.build_neighbor_index(make_cloud(np.full((5, 3), -2.3)), 0.5)
+        assert nbr.num_voxels == 1
+        want = np.full((1, 27), -1)
+        want[0, 13] = 0
+        np.testing.assert_array_equal(nbr.neighbor_voxels, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        grid=st.booleans(),
+        span=st.sampled_from([0.01, 2.0, 1e6]),
+        center=st.floats(-1e4, 1e4),
+        voxel=st.sampled_from([0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dict_loop_reference(self, n, grid, span, center, voxel, seed):
+        rng = np.random.default_rng(seed)
+        if grid:  # whole voxels apart, so many stencil slots are occupied
+            coords = center + (rng.integers(-3, 3, (n, 3)) + 0.5) * voxel
+        else:
+            coords = center + rng.uniform(-span, span, (n, 3))
+        nbr = geo.build_neighbor_index(make_cloud(coords), voxel)
+        want = reference_neighbor_voxels(coords, voxel)
+        assert nbr.neighbor_voxels.dtype == np.int64
+        np.testing.assert_array_equal(nbr.neighbor_voxels, want)
 
     def test_neighbor_count_bound(self):
         rng = np.random.default_rng(5)
