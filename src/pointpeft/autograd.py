@@ -5,7 +5,8 @@ that produced it. ``backward`` walks the (acyclic) graph in reverse
 topological order and accumulates gradients into every reachable leaf
 whose ``requires_grad`` flag is set. Leaf gradients accumulate across
 calls until explicitly zeroed; intermediate gradients are freed as soon
-as they have been consumed.
+as they have been consumed. Inside ``no_grad`` no graph is built at all,
+while leaf flags and accumulated gradients stay as they were.
 
 Everything is 64-bit: the finite-difference tolerances used throughout
 the test suite are not reachable in single precision. Broadcasting is
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
@@ -77,9 +79,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -97,9 +96,27 @@ def _accum(t: Tensor, g: Array) -> None:
     t.grad = np.array(g, dtype=np.float64) if t.grad is None else t.grad + g
 
 
+_grad_enabled = True  # read by _node; only no_grad changes it
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops inside the block record no graph: every result is a constant.
+
+    Unlike freezing parameters, this touches no leaf: `requires_grad` flags
+    and gradients accumulated before the block are the same after it.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -156,39 +173,6 @@ def mul(a, b) -> Tensor:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), bwd)
-
-
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data / b.data
-
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), bwd)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    data = np.exp(a.data)
-
-    def bwd(g: Array) -> None:
-        _accum(a, g * data)
-
-    return _node(data, (a,), bwd)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    data = np.log(a.data)
-
-    def bwd(g: Array) -> None:
-        _accum(a, g / a.data)
-
-    return _node(data, (a,), bwd)
 
 
 def relu(a) -> Tensor:

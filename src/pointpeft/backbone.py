@@ -251,42 +251,38 @@ class ForwardResult:
     logits: Tensor
 
 
-def forward(
-    cloud: PointCloud,
-    part: PatchPartition,
-    nbr: NeighborIndex | None,
-    attachment,
-    store: ParamStore,
-    config: BackboneConfig,
-    tracer=None,
-) -> ForwardResult:
-    """Full pass: embed, positional refinement, B blocks, segmentation head.
-
-    `attachment` is any object exposing the insertion-point hooks
-    (new_latent, input_branch, attention_mods, context_branch, ffn_post),
-    or None for the plain frozen path.  `tracer`, if given, is passed to
-    every site and hook; block i reports its output as `x` at `block{i}`.
-    """
+def _stem(
+    cloud: PointCloud, nbr, attachment, store: ParamStore, config: BackboneConfig, tracer
+) -> Tensor:
+    """Embedding plus positional refinement, plus any input branch."""
     n = cloud.n
-    if part.n != n:
-        raise ContractError(f"partition covers {part.n} points, cloud has {n}")
-    if nbr is not None and nbr.num_points != n:
-        raise ContractError(f"neighbor index covers {nbr.num_points} points, cloud has {n}")
-
     x0 = embed(cloud, store)
     if tracer is not None:
         tracer.record("embed", n * cloud.c * config.d)
     x = ag.add(x0, pos_encode(Tensor(cloud.coords), store))
     if tracer is not None:
         tracer.record("pos", n * 3 * config.d + n * config.d * config.d)
-    latent = None
     if attachment is not None:
         branch = attachment.input_branch(x0, nbr, tracer)
         if branch is not None:
             x = ag.add(x, branch)
-        latent = attachment.new_latent()
+    return x
 
-    for i in range(config.blocks):
+
+def _blocks(
+    x: Tensor,
+    part: PatchPartition,
+    attachment,
+    store: ParamStore,
+    config: BackboneConfig,
+    start: int,
+    stop: int,
+    tracer,
+) -> Tensor:
+    """Blocks start..stop-1 on the residual stream x; latent tokens start fresh."""
+    n = x.shape[0]
+    latent = attachment.new_latent() if attachment is not None else None
+    for i in range(start, stop):
         site = f"block{i}"
         xn = layer_norm(x, store, f"backbone.{site}.ln1")
         mods = attachment.attention_mods(i) if attachment is not None else None
@@ -306,6 +302,67 @@ def forward(
             x = attachment.ffn_post(x, i, tracer)
         if tracer is not None:
             tracer.record(site, x=x.data)
+    return x
+
+
+def _check_depth(depth: int, config: BackboneConfig) -> None:
+    if not 1 <= depth <= config.blocks:
+        raise ContractError(f"prefix depth {depth} outside [1, {config.blocks}]")
+
+
+def frozen_prefix(
+    cloud: PointCloud, part: PatchPartition, store: ParamStore, config: BackboneConfig, depth: int
+) -> Tensor:
+    """The residual stream entering block `depth` of a pass with no attachment.
+
+    It stops before the `ffn_post` hook of block depth-1 and carries no
+    graph.  For an attachment that leaves the stem and blocks 0..depth-1
+    untouched, it is bit for bit what `forward` computes at that point, so
+    `forward(..., resume=(depth, prefix))` gives the full pass's logits.
+    """
+    _check_depth(depth, config)
+    with ag.no_grad():
+        x = _stem(cloud, None, None, store, config, None)
+        return _blocks(x, part, None, store, config, 0, depth, None)
+
+
+def forward(
+    cloud: PointCloud,
+    part: PatchPartition,
+    nbr: NeighborIndex | None,
+    attachment,
+    store: ParamStore,
+    config: BackboneConfig,
+    tracer=None,
+    resume: tuple[int, Tensor] | None = None,
+) -> ForwardResult:
+    """Full pass: embed, positional refinement, B blocks, segmentation head.
+
+    `attachment` is any object exposing the insertion-point hooks
+    (new_latent, input_branch, attention_mods, context_branch, ffn_post),
+    or None for the plain frozen path.  `tracer`, if given, is passed to
+    every site and hook; block i reports its output as `x` at `block{i}`.
+
+    `resume=(k, x)`, with x from `frozen_prefix(..., k)`, skips the stem and
+    blocks 0..k-1: the pass applies block k-1's `ffn_post` hook to x and
+    goes on from block k.  The tracer then sees only the sites after that.
+    """
+    n = cloud.n
+    if part.n != n:
+        raise ContractError(f"partition covers {part.n} points, cloud has {n}")
+    if nbr is not None and nbr.num_points != n:
+        raise ContractError(f"neighbor index covers {nbr.num_points} points, cloud has {n}")
+
+    if resume is None:
+        start, x = 0, _stem(cloud, nbr, attachment, store, config, tracer)
+    else:
+        start, x = resume
+        _check_depth(start, config)
+        if x.shape != (n, config.d):
+            raise ContractError(f"resumed residual has shape {x.shape}, expected {(n, config.d)}")
+        if attachment is not None:
+            x = attachment.ffn_post(x, start - 1, tracer)
+    x = _blocks(x, part, attachment, store, config, start, config.blocks, tracer)
 
     logits = linear(layer_norm(x, store, "backbone.ln_out"), store, "head")
     if tracer is not None:

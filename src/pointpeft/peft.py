@@ -136,6 +136,24 @@ class PeftAttachment:
         self.store = store
         self._blocks = set(config.active_blocks(bconfig.blocks))
 
+    def frozen_depth(self) -> int:
+        """Block k such that every pass resumes at k from `backbone.frozen_prefix`.
+
+        Linear probing leaves every block alone.  An adapter acts first at
+        the `ffn_post` hook of its first block, which a resumed pass applies
+        before block k, so that block counts as frozen too.  LoRA, prompts
+        and the context adapter act inside their first block.  BitFit trains
+        backbone biases and the spatial adapter feeds the stem, so no block
+        is frozen for them (nor for `gem`, which carries the spatial adapter).
+        """
+        method = self.config.method
+        if method == "linear":
+            return self.bconfig.blocks
+        if method in ("bitfit", "gem", "gem_sa_only"):
+            return 0
+        first = min(self._blocks)
+        return first + 1 if method == "adapter" else first
+
     # -- latent tokens ------------------------------------------------------
 
     def new_latent(self) -> LatentState | None:

@@ -9,7 +9,6 @@ accumulates one confusion matrix over the whole split.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,17 +128,12 @@ def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
     store.zero_grads()
 
 
-@contextmanager
 def inference_mode(store: ParamStore):
-    """Temporarily freeze everything so forward passes skip graph building."""
-    flags = {name: store.frozen(name) for name in store.names()}
-    for name in store.names():
-        store.set_frozen(name, True)
-    try:
-        yield
-    finally:
-        for name, frozen in flags.items():
-            store.set_frozen(name, frozen)
+    """Forward passes inside build no graph; `store` is left as it was.
+
+    The same as `autograd.no_grad()`: no freeze flag or gradient changes.
+    """
+    return ag.no_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +331,36 @@ class RunRecord:
 # evaluation and the shared epoch loop
 
 
+def frozen_prefixes(
+    store: ParamStore, attachment, prepared: list[Prepared], bconfig: bb.BackboneConfig
+) -> list[tuple[int, Tensor] | None]:
+    """Per cloud, the `resume` point its forwards start from: None for a full
+    pass, or `(k, x)` with x the residual entering the attachment's first
+    non-frozen block k."""
+    depth = 0 if attachment is None else attachment.frozen_depth()
+    if depth == 0:
+        return [None] * len(prepared)
+    return [(depth, bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, depth)) for pc in prepared]
+
+
 def evaluate(
     store: ParamStore,
     attachment,
     prepared: list[Prepared],
     bconfig: bb.BackboneConfig,
+    resume: list[tuple[int, Tensor] | None] | None = None,
 ) -> dict[str, float]:
-    """Confusion-matrix metrics accumulated over the whole split."""
+    """Confusion-matrix metrics accumulated over the whole split.
+
+    `resume`, from `frozen_prefixes` on the same split, lets each forward
+    skip the frozen blocks."""
     cm = ConfusionMatrix(bconfig.num_classes)
-    with inference_mode(store):
-        for pc in prepared:
+    resume = resume or [None] * len(prepared)
+    with ag.no_grad():
+        for pc, start in zip(prepared, resume):
             if pc.cloud.labels is None:
                 raise DataError("evaluation requires annotated clouds")
-            out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
+            out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=start)
             cm.update(out.logits.data.argmax(axis=1), pc.cloud.labels)
     return cm.metrics()
 
@@ -366,6 +377,13 @@ def _run_epochs(
     state = OptState(tconfig)
     shuffle_rng = named_rng(tconfig.seed, "shuffle")
     t0 = time.perf_counter()
+    # Held for this run only: the prefixes are valid while the backbone is frozen.
+    resume = frozen_prefixes(store, attachment, prepared, bconfig)
+    eval_resume = (
+        resume
+        if eval_prepared is prepared
+        else frozen_prefixes(store, attachment, eval_prepared, bconfig)
+    )
     for epoch in range(tconfig.epochs):
         lr = lr_at(tconfig, epoch)
         order = shuffle_rng.permutation(len(prepared))
@@ -376,7 +394,9 @@ def _run_epochs(
                 pc = prepared[int(idx)]
                 if pc.cloud.labels is None:
                     raise DataError("training requires annotated clouds")
-                out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
+                out = bb.forward(
+                    pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=resume[int(idx)]
+                )
                 loss = cross_entropy(out.logits, pc.cloud.labels)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -384,7 +404,7 @@ def _run_epochs(
                 ag.backward(ag.mul(loss, 1.0 / len(chunk)))
                 losses.append(value)
             step(store, state, lr)
-        metrics = evaluate(store, attachment, eval_prepared, bconfig)
+        metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume)
         record.epochs.append(
             EpochStats(epoch=epoch, loss=float(np.mean(losses)), **metrics)
         )

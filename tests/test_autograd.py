@@ -119,22 +119,14 @@ class TestRelu:
 class TestElementwiseGradients:
     """Every differentiable op vs central differences, inputs in [-1, 1]."""
 
-    def test_add_sub_mul_div(self):
+    def test_add_sub_mul(self):
         rng = np.random.default_rng(3)
         a, b = rand(rng, 4, 3), rand(rng, 4, 3)
         bias = rand(rng, 3)
-        pos = ag.Tensor(rng.uniform(0.5, 1.5, (4, 3)), requires_grad=True)
         fd_check(lambda: ag.add(a, b), [a, b])
         fd_check(lambda: ag.add(a, bias), [a, bias])  # broadcast bias row
         fd_check(lambda: ag.sub(a, b), [a, b])
         fd_check(lambda: ag.mul(a, b), [a, b])
-        fd_check(lambda: ag.div(a, pos), [a, pos])
-
-    def test_pow_exp_log(self):
-        rng = np.random.default_rng(4)
-        pos = ag.Tensor(rng.uniform(0.5, 1.5, (3, 3)), requires_grad=True)
-        fd_check(lambda: ag.exp(pos), [pos])
-        fd_check(lambda: ag.log(pos), [pos])
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(5)
@@ -216,6 +208,18 @@ class TestBackwardContract:
         w.grad = None
         ag.backward(ag.tsum(w))
         np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+
+    def test_no_grad_builds_no_graph_and_keeps_leaves(self):
+        w = ag.Tensor(np.ones(2), requires_grad=True)
+        ag.backward(ag.tsum(w))
+        with pytest.raises(ShapeError), ag.no_grad():
+            out = ag.tsum(ag.mul(w, 3.0))
+            assert not out.requires_grad and out._parents == ()
+            ag.backward(out)  # a constant: nothing reaches w
+            w.item()
+        assert w.requires_grad
+        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+        assert ag.tsum(w).requires_grad  # the switch is back on after the raise
 
     def test_matmul_loss_vs_finite_differences(self):
         rng = np.random.default_rng(11)

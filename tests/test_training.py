@@ -184,6 +184,24 @@ class TestEvaluate:
         tr.evaluate(store, None, tr.prepare(tiny_dataset(1), bconfig), bconfig)
         assert store.trainable_count == store.total_count
 
+    def test_evaluate_keeps_accumulated_gradients(self):
+        bconfig = tiny_backbone()
+        store = bb.init_backbone(bconfig, 1)
+        attachment = peft.attach(peft.PeftConfig(method="lora", rank=2), store, bconfig)
+        prepared = tr.prepare(tiny_dataset(2), bconfig)
+        pc = prepared[0]
+        out = bb.forward(pc.cloud, pc.part, None, attachment, store, bconfig)
+        ag.backward(tr.cross_entropy(out.logits, pc.cloud.labels))
+        before = {n: t.grad.copy() for n, t in store.items() if t.grad is not None}
+        assert sum(n.startswith("peft.") for n in before) == 2 * 4  # LoRA q/k down and up, 2 blocks
+        tr.evaluate(store, attachment, prepared, bconfig)
+        with tr.inference_mode(store):
+            bb.forward(pc.cloud, pc.part, None, attachment, store, bconfig)
+        after = {n: t.grad for n, t in store.items() if t.grad is not None}
+        assert after.keys() == before.keys()
+        for name, grad in before.items():
+            assert after[name].tobytes() == grad.tobytes()
+
 
 class TestPretrain:
     def test_bitwise_deterministic(self):
