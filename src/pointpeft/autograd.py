@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A ``Tensor`` wraps a row-major numpy array and remembers the operation
-that produced it. ``backward`` walks the (acyclic) graph in reverse
-topological order and accumulates gradients into every reachable leaf
+that produced it; each op node is stamped in creation order. ``backward``
+runs the reachable op nodes in reverse creation order, which is a reverse
+topological order, and accumulates gradients into every reachable leaf
 whose ``requires_grad`` flag is set. Leaf gradients accumulate across
 calls until explicitly zeroed; intermediate gradients are freed as soon
 as they have been consumed. Inside ``no_grad`` no graph is built at all,
@@ -12,11 +13,18 @@ Everything is 64-bit: the finite-difference tolerances used throughout
 the test suite are not reachable in single precision. Broadcasting is
 supported only to the extent the model needs it (bias rows, batched
 matmul with a shared right operand).
+
+The model's rows are short (16 to 128 wide), where numpy's per-axis
+reductions are slow: a row sum over (36, 16, 16) logits takes three times
+as long as the exponential.  Row and column sums on the hot path are
+therefore BLAS mat-vec products with a vector of ones (`_row_sums`,
+`_col_sums`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -31,7 +39,7 @@ Array = np.ndarray
 class Tensor:
     """One node of a reverse-mode differentiation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = np.ascontiguousarray(data, dtype=np.float64)
@@ -39,6 +47,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Array], None] | None = None
+        self._seq = 0  # creation stamp of a graph node; backward runs in reverse stamp order
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -97,6 +106,7 @@ def _accum(t: Tensor, g: Array) -> None:
 
 
 _grad_enabled = True  # read by _node; only no_grad changes it
+_stamps = itertools.count(1)  # creation order of graph nodes, read by backward
 
 
 @contextmanager
@@ -120,7 +130,28 @@ def _node(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
+        out._seq = next(_stamps)
     return out
+
+
+def _row_sums(a: Array) -> Array:
+    """Sums over the last axis, keeping it as size 1, by one mat-vec product."""
+    width = a.shape[-1]
+    return (a.reshape(-1, width) @ np.ones(width)).reshape(a.shape[:-1] + (1,))
+
+
+def _take_rows(a: Array, index: Array) -> Array:
+    """Rows of `a` by index, -1 giving a zero row (the appended last row).
+
+    `np.take` gathers narrow rows several times faster than fancy indexing,
+    and the zero row replaces a masked assignment.
+    """
+    return np.take(np.concatenate([a, np.zeros((1,) + a.shape[1:])]), index, axis=0)
+
+
+def _col_sums(g: Array) -> Array:
+    """Sums of an (n, o) array over its rows, by one mat-vec product."""
+    return np.ones(g.shape[0]) @ g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -230,8 +261,7 @@ def gather_rows(a, index) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows index must be 1-d, got shape {idx.shape}")
     valid = idx >= 0
-    data = np.zeros((idx.size,) + a.data.shape[1:], dtype=np.float64)
-    data[valid] = a.data[idx[valid]]
+    data = _take_rows(a.data, idx)
 
     def bwd(g: Array) -> None:
         ga = np.zeros_like(a.data)
@@ -293,7 +323,8 @@ def affine(x, w, b) -> Tensor:
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine needs (n, i) x (i, o), got {x.shape} x {w.shape}")
-    data = x.data @ w.data + b.data
+    data = x.data @ w.data
+    data += b.data
 
     def bwd(g: Array) -> None:
         if x.requires_grad:
@@ -301,9 +332,37 @@ def affine(x, w, b) -> Tensor:
         if w.requires_grad:
             _accum(w, x.data.T @ g)
         if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            _accum(b, _col_sums(g))
 
     return _node(data, (x, w, b), bwd)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 for rows x, as one node."""
+    x, w1, b1, w2, b2 = (_wrap(t) for t in (x, w1, b1, w2, b2))
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.fmax(hidden, 0.0, out=hidden)  # relu's forward, in place
+    data = hidden @ w2.data
+    data += b2.data
+
+    def bwd(g: Array) -> None:
+        if w2.requires_grad:
+            _accum(w2, hidden.T @ g)
+        if b2.requires_grad:
+            _accum(b2, _col_sums(g))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gpre = g @ w2.data.T
+        gpre *= hidden > 0.0  # relu's gate: positive before the relu iff positive after
+        if x.requires_grad:
+            _accum(x, gpre @ w1.data.T)
+        if w1.requires_grad:
+            _accum(w1, x.data.T @ gpre)
+        if b1.requires_grad:
+            _accum(b1, _col_sums(gpre))
+
+    return _node(data, (x, w1, b1, w2, b2), bwd)
 
 
 def layer_norm(x, scale, shift, eps: float) -> Tensor:
@@ -311,37 +370,57 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
     x, scale, shift = _wrap(x), _wrap(scale), _wrap(shift)
     d = x.data.shape[-1]
 
-    def row_mean(a: Array) -> Array:  # bitwise equal to a.mean(axis=-1), cheaper
-        return a.sum(axis=-1, keepdims=True) / d
+    def row_mean(a: Array) -> Array:
+        return _row_sums(a) / d
 
     centered = x.data - row_mean(x.data)
     inv = (row_mean(centered * centered) + eps) ** -0.5
     xhat = centered * inv
-    data = xhat * scale.data + shift.data
+    data = xhat * scale.data
+    data += shift.data
 
     def bwd(g: Array) -> None:
         if x.requires_grad:
             gx = g * scale.data
             _accum(x, inv * (gx - row_mean(gx) - xhat * row_mean(gx * xhat)))
         if scale.requires_grad:
-            _accum(scale, _unbroadcast(g * xhat, scale.data.shape))
+            _accum(scale, _col_sums(g * xhat))
         if shift.requires_grad:
-            _accum(shift, _unbroadcast(g, shift.data.shape))
+            _accum(shift, _col_sums(g))
 
     return _node(data, (x, scale, shift), bwd)
 
 
+SAFE_LOGIT = 600.0  # below this, exp cannot overflow, even summed over a row
+TINY_ROW_SUM = 1e-280  # below this a row's exponentials may have lost precision
+
+
 def softmax(z: Array) -> Array:
-    """Softmax over the last axis, stabilized by row-max subtraction."""
-    if np.isnan(z).any():
+    """Softmax over the last axis.
+
+    While every logit is below SAFE_LOGIT, the exponentials are taken
+    without a shift: no per-row max (a slow reduction on short rows), and
+    each row's result depends on that row alone, bit for bit.  Only when
+    the array's max reaches SAFE_LOGIT, or some row sums to less than
+    TINY_ROW_SUM (its logits all lie below about -640), is each row shifted
+    by its own max.  NaN logits raise `NumericError`.
+    """
+    top = z.max()
+    if np.isnan(top):
         raise NumericError("softmax input contains NaN")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    if top < SAFE_LOGIT:
+        e = np.exp(z)
+        sums = _row_sums(e)
+    if top >= SAFE_LOGIT or sums.min() < TINY_ROW_SUM:
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        sums = _row_sums(e)
+    e /= sums
+    return e
 
 
 def softmax_grad(s: Array, g: Array) -> Array:
     """Gradient at the logits, given softmax output `s` and its gradient `g`."""
-    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+    return s * (g - _row_sums(g * s))
 
 
 def attend(q, k, v, scale: float) -> tuple[Tensor, Array]:
@@ -363,49 +442,71 @@ def attend(q, k, v, scale: float) -> tuple[Tensor, Array]:
     return _node(data, (q, k, v), bwd), weights
 
 
-MASK_LOGIT = -1e30  # underflows to an exactly-zero weight after the max shift
+MASK_LOGIT = -1e30  # its exponential is exactly zero, shifted or not
 
 
-def _to_slots(a: Array, index: Array, heads: int) -> Array:
-    """(n, d) rows -> (patches*heads, p, d/heads) by patch slot, zero in padded slots."""
-    patches, p = index.shape
-    rows = a[index]
-    rows[index < 0] = 0.0
-    split = rows.reshape(patches, p, heads, -1).transpose(0, 2, 1, 3)
-    return split.reshape(patches * heads, p, -1)
+def _heads(a: Array, patches: int, heads: int) -> Array:
+    """(patches*p, heads*dh) rows in slot order -> (patches*heads, p, dh)."""
+    p = a.shape[0] // patches
+    return a.reshape(patches, p, heads, -1).transpose(0, 2, 1, 3).reshape(patches * heads, p, -1)
 
 
-def _to_points(a: Array, index: Array, n: int) -> Array:
-    """Inverse of `_to_slots`: back to (n, d) in point order, padded slots dropped."""
-    patches, p = index.shape
-    slots = a.reshape(patches, -1, p, a.shape[-1]).transpose(0, 2, 1, 3).reshape(patches * p, -1)
-    flat = index.ravel()
-    valid = flat >= 0
-    out = np.empty((n, slots.shape[1]))
-    out[flat[valid]] = slots[valid]
-    return out
+def _rows(a: Array, patches: int) -> Array:
+    """Inverse of `_heads`: (patches*heads, p, dh) -> (patches*p, heads*dh)."""
+    _, p, dh = a.shape
+    return a.reshape(patches, -1, p, dh).transpose(0, 2, 1, 3).reshape(patches * p, -1)
 
 
-def patch_attention(q, k, v, index, heads: int, prompt_k=None, prompt_v=None) -> tuple[Tensor, Array]:
-    """Multi-head softmax attention inside each patch, as one node.
+def patch_attention(x, weights, index, heads: int, lora=None, prompts=None) -> tuple[Tensor, Array]:
+    """A block's multi-head attention inside each patch, as one node.
 
-    q, k, v are (n, d) in point order; `index` is (patches, p) point ids
-    with -1 in padded slots.  Optional prompts (m, d) are prepended to every
-    patch's keys and values.  Padded keys are masked out and padded queries
-    dropped, so the (n, d) output comes back in point order.  Also returns
-    the softmax weights, (patches*heads, p, m+p) with prompt columns first.
+    `x` is (n, d) in point order; `weights` is the eight tensors
+    (wq, bq, wk, bk, wv, bv, wo, bo) of the q, k, v and output projections.
+    `index` is (patches, p) point ids with -1 in padded slots.  Optional
+    `lora` = (q_down, q_up, k_down, k_up) adds x q_down q_up to q and
+    x k_down k_up to k; optional `prompts` = (pk, pv), each (m, d), are
+    prepended to every patch's keys and values.
+
+    The rows are gathered into patch-slot order once, q, k and v come from
+    one product with the three weights side by side, padded keys are masked
+    out, and the output projection's rows go back to point order (padded
+    slots dropped).  The backward splits the gradients back onto the stored
+    tensors.  Also returns the softmax weights, (patches*heads, p, m+p) with
+    prompt columns first.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    n, d = q.data.shape
+    x = _wrap(x)
+    wq, bq, wk, bk, wv, bv, wo, bo = (_wrap(t) for t in weights)
+    lora = tuple(_wrap(t) for t in lora or ())
+    prompts = tuple(_wrap(t) for t in prompts or ())
+    n, d = x.data.shape
     index = np.asarray(index, dtype=np.int64)
-    patches = index.shape[0]
+    patches, p = index.shape
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    qs, ks, vs = (_to_slots(t.data, index, heads) for t in (q, k, v))
-    prompts: tuple[Tensor, ...] = ()
+    flat = index.ravel()
+    pad = flat < 0
+    padded = pad.any()
+    rows = np.where(pad, n, flat)  # each slot's row on the way back, padded slots to a spare row n
+
+    def to_points(slots: Array) -> Array:
+        out = np.empty((n + 1, d))
+        out[rows] = slots
+        return out[:n]
+
+    xs = _take_rows(x.data, flat)
+    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    proj = xs @ w
+    proj += np.concatenate([bq.data, bk.data, bv.data])
+    if lora:
+        q_down, q_up, k_down, k_up = lora
+        hq, hk = xs @ q_down.data, xs @ k_down.data
+        proj[:, :d] += hq @ q_up.data
+        proj[:, d : 2 * d] += hk @ k_up.data
+    if padded:
+        proj[pad] = 0.0
+    qs, ks, vs = proj.reshape(patches, p, 3, heads, dh).transpose(2, 0, 3, 1, 4).reshape(3, -1, p, dh)
     m = 0
-    if prompt_k is not None:
-        prompts = (_wrap(prompt_k), _wrap(prompt_v))
+    if prompts:
         m = prompts[0].data.shape[0]
 
         def per_patch(t: Tensor) -> Array:
@@ -415,27 +516,63 @@ def patch_attention(q, k, v, index, heads: int, prompt_k=None, prompt_v=None) ->
         ks = np.concatenate([per_patch(prompts[0]), ks], axis=1)
         vs = np.concatenate([per_patch(prompts[1]), vs], axis=1)
 
-    logits = (qs @ ks.transpose(0, 2, 1)) * scale
-    key_pad = np.repeat(index < 0, heads, axis=0)[:, None, :]
-    logits[:, :, m:] = np.where(key_pad, MASK_LOGIT, logits[:, :, m:])
-    weights = softmax(logits)
-    data = _to_points(weights @ vs, index, n)
+    logits = qs @ ks.transpose(0, 2, 1)
+    logits *= scale
+    if padded:
+        key_pad = np.repeat(index < 0, heads, axis=0)[:, None, :]
+        logits[:, :, m:] = np.where(key_pad, MASK_LOGIT, logits[:, :, m:])
+    attn = softmax(logits)
+    mixed = _rows(attn @ vs, patches)
+    out = mixed @ wo.data
+    out += bo.data
+    data = to_points(out)
+    inputs = (x, wq, bq, wk, bk, wv, bv, *lora, *prompts)
 
     def bwd(g: Array) -> None:
-        gs = _to_slots(g, index, heads)
-        gv = weights.transpose(0, 2, 1) @ gs
-        gl = softmax_grad(weights, gs @ vs.transpose(0, 2, 1)) * scale
-        gq = gl @ ks
+        gs = _take_rows(g, flat)
+        if wo.requires_grad:
+            _accum(wo, mixed.T @ gs)
+        if bo.requires_grad:
+            _accum(bo, _col_sums(gs))
+        if not any(t.requires_grad for t in inputs):
+            return
+        gmixed = _heads(gs @ wo.data.T, patches, heads)
+        gv = attn.transpose(0, 2, 1) @ gmixed
+        gl = softmax_grad(attn, gmixed @ vs.transpose(0, 2, 1)) * scale
         gk = gl.transpose(0, 2, 1) @ qs
-        for t, grad in ((q, gq), (k, gk[:, m:]), (v, gv[:, m:])):
-            if t.requires_grad:
-                _accum(t, _to_points(grad, index, n))
+        gproj = np.empty((flat.size, 3 * d))
+        by_head = gproj.reshape(patches, p, 3, heads, dh)
+        for i, grad in enumerate((gl @ ks, gk[:, m:], gv[:, m:])):
+            by_head[:, :, i] = grad.reshape(patches, heads, p, dh).transpose(0, 2, 1, 3)
         for t, grad in zip(prompts, (gk[:, :m], gv[:, :m])):
             if t.requires_grad:
                 summed = grad.reshape(patches, heads, m, dh).sum(axis=0)
                 _accum(t, summed.transpose(1, 0, 2).reshape(m, d))
+        gw = xs.T @ gproj if any(t.requires_grad for t in (wq, wk, wv)) else None
+        gb = _col_sums(gproj)
+        for i, (wt, bt) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+            cols = slice(i * d, (i + 1) * d)
+            if wt.requires_grad:
+                _accum(wt, gw[:, cols])
+            if bt.requires_grad:
+                _accum(bt, gb[cols])
+        gxs = gproj @ w.T if x.requires_grad else None
+        if lora:
+            for (down, up), h, gout in (
+                ((q_down, q_up), hq, gproj[:, :d]),
+                ((k_down, k_up), hk, gproj[:, d : 2 * d]),
+            ):
+                if up.requires_grad:
+                    _accum(up, h.T @ gout)
+                gh = gout @ up.data.T
+                if down.requires_grad:
+                    _accum(down, xs.T @ gh)
+                if gxs is not None:
+                    gxs += gh @ down.data.T
+        if gxs is not None:
+            _accum(x, to_points(gxs))
 
-    return _node(data, (q, k, v, *prompts), bwd), weights
+    return _node(data, (*inputs, wo, bo), bwd), attn
 
 
 def stencil(vox, neighbors, kernels) -> Tensor:
@@ -450,9 +587,7 @@ def stencil(vox, neighbors, kernels) -> Tensor:
     flat = np.asarray(neighbors, dtype=np.int64).ravel()
     num_voxels, r = vox.data.shape
     empty = flat < 0
-    gathered = vox.data[flat]
-    gathered[empty] = 0.0
-    gathered = gathered.reshape(num_voxels, -1)
+    gathered = _take_rows(vox.data, flat).reshape(num_voxels, -1)
     stacked = np.concatenate([kern.data for kern in kernels])
     if stacked.shape[0] != gathered.shape[1]:
         raise ShapeError(f"{len(kernels)} kernels of {kernels[0].shape} for {gathered.shape} neighbors")
@@ -487,27 +622,21 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
+    nodes = [loss] if loss._backward is not None else []
+    seen = {id(loss)}
+    for node in nodes:  # every op node reachable from the loss; leaves have no _backward
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+            if parent._backward is not None and id(parent) not in seen:
+                seen.add(id(parent))
+                nodes.append(parent)
+    # A node is stamped after its inputs, so descending stamps put each node
+    # before everything it was computed from.
+    nodes.sort(key=lambda t: t._seq, reverse=True)
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
-            node.grad = None  # intermediates are never leaves
+    for node in nodes:
+        node._backward(node.grad)
+        node.grad = None  # intermediates are never leaves
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +829,15 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
         if len(header) != 3:
             raise DataError(f"{path}: malformed parameter record: {lines[i]!r}")
         name, shape_csv, frozen_flag = header
-        shape = tuple(int(s) for s in shape_csv.split(",")) if shape_csv else ()
-        values = np.asarray(lines[i + 1].split(), dtype=np.float64)
-        if values.size != int(np.prod(shape, dtype=np.int64)):
+        try:
+            shape = tuple(int(s) for s in shape_csv.split(",")) if shape_csv else ()
+            frozen = bool(int(frozen_flag))
+            values = np.asarray(lines[i + 1].split(), dtype=np.float64)
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: malformed parameter record for {name}: {exc}") from exc
+        if any(s < 0 for s in shape) or values.size != int(np.prod(shape, dtype=np.int64)):
             raise DataError(f"{path}: value count mismatch for {name}")
-        store.add(name, values.reshape(shape), frozen=bool(int(frozen_flag)))
+        store.add(name, values.reshape(shape), frozen=frozen)
         i += 2
     return config, store
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,12 +184,17 @@ def embed(cloud: PointCloud, store: ParamStore) -> Tensor:
 
 
 def pos_encode(coords: Tensor, store: ParamStore) -> Tensor:
-    hidden = ag.relu(ag.affine(coords, store["backbone.pos.w1"], store["backbone.pos.b1"]))
-    return ag.affine(hidden, store["backbone.pos.w2"], store["backbone.pos.b2"])
+    return ag.mlp(
+        coords, store["backbone.pos.w1"], store["backbone.pos.b1"],
+        store["backbone.pos.w2"], store["backbone.pos.b2"],
+    )
 
 
 def ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    return linear(ag.relu(linear(x, store, f"{prefix}.fc1")), store, f"{prefix}.fc2")
+    return ag.mlp(
+        x, store[f"{prefix}.fc1.weight"], store[f"{prefix}.fc1.bias"],
+        store[f"{prefix}.fc2.weight"], store[f"{prefix}.fc2.bias"],
+    )
 
 
 @dataclass
@@ -199,6 +205,9 @@ class AttnMods:
     lora_k: tuple[Tensor, Tensor] | None = None
     prompt_k: Tensor | None = None  # m x d, prepended as extra keys
     prompt_v: Tensor | None = None
+
+
+PROJECTIONS = ("q", "k", "v", "out")
 
 
 def local_attention(
@@ -213,6 +222,8 @@ def local_attention(
 ) -> Tensor:
     """Multi-head scaled dot-product attention independently inside each patch.
 
+    The q, k, v and output projections, any LoRA deltas and prompts, and
+    the attention itself form one graph node (`autograd.patch_attention`).
     Padded slots are masked out before the softmax and dropped from the
     output; rows come back in original point order.  A tracer sees the
     softmax weights, shaped (patches*heads, p, m+p) with any m prompt
@@ -225,25 +236,18 @@ def local_attention(
         raise ContractError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
     mods = mods or AttnMods()
+    weights = [store[f"{prefix}.{proj}.{kind}"] for proj in PROJECTIONS for kind in ("weight", "bias")]
+    lora = None if mods.lora_q is None else (*mods.lora_q, *mods.lora_k)
+    prompts = None if mods.prompt_k is None else (mods.prompt_k, mods.prompt_v)
 
-    q = linear(x, store, f"{prefix}.q")
-    k = linear(x, store, f"{prefix}.k")
-    v = linear(x, store, f"{prefix}.v")
+    out, attn = ag.patch_attention(x, weights, part.index, heads, lora, prompts)
     if tracer is not None:
         tracer.record(f"{site}.attn_proj", 4 * n * d * d)
-    if mods.lora_q is not None:
-        down, up = mods.lora_q
-        q = ag.add(q, ag.matmul(ag.matmul(x, down), up))
-        down, up = mods.lora_k
-        k = ag.add(k, ag.matmul(ag.matmul(x, down), up))
-        if tracer is not None:
-            tracer.record(f"{site}.lora", 4 * n * d * down.shape[1])
-
-    out, weights = ag.patch_attention(q, k, v, part.index, heads, mods.prompt_k, mods.prompt_v)
-    if tracer is not None:
-        madds = 2 * weights.shape[0] * part.patch_size * weights.shape[2] * dh
-        tracer.record(f"{site}.local_attn", madds, weights=weights)
-    return linear(out, store, f"{prefix}.out")
+        if lora is not None:
+            tracer.record(f"{site}.lora", 4 * n * d * lora[0].shape[1])
+        madds = 2 * attn.shape[0] * part.patch_size * attn.shape[2] * dh
+        tracer.record(f"{site}.local_attn", madds, weights=attn)
+    return out
 
 
 @dataclass
@@ -251,10 +255,23 @@ class ForwardResult:
     logits: Tensor
 
 
+class Resume(NamedTuple):
+    """Where a pass starts: the residual stream `x` entering block `depth`.
+
+    At depth 0, x is the stem before the attachment's input branch, and
+    `state` is what that branch reads of the embedding (the attachment's
+    `input_state`).
+    """
+
+    depth: int
+    x: Tensor
+    state: object = None
+
+
 def _stem(
     cloud: PointCloud, nbr, attachment, store: ParamStore, config: BackboneConfig, tracer
-) -> Tensor:
-    """Embedding plus positional refinement, plus any input branch."""
+) -> Resume:
+    """Embedding plus positional refinement, and the input branch's state."""
     n = cloud.n
     x0 = embed(cloud, store)
     if tracer is not None:
@@ -262,11 +279,8 @@ def _stem(
     x = ag.add(x0, pos_encode(Tensor(cloud.coords), store))
     if tracer is not None:
         tracer.record("pos", n * 3 * config.d + n * config.d * config.d)
-    if attachment is not None:
-        branch = attachment.input_branch(x0, nbr, tracer)
-        if branch is not None:
-            x = ag.add(x, branch)
-    return x
+    state = attachment.input_state(x0, nbr) if attachment is not None else None
+    return Resume(0, x, state)
 
 
 def _blocks(
@@ -305,9 +319,30 @@ def _blocks(
     return x
 
 
-def _check_depth(depth: int, config: BackboneConfig) -> None:
-    if not 1 <= depth <= config.blocks:
-        raise ContractError(f"prefix depth {depth} outside [1, {config.blocks}]")
+def _check_depth(depth: int, config: BackboneConfig, lowest: int = 1) -> None:
+    if not lowest <= depth <= config.blocks:
+        raise ContractError(f"prefix depth {depth} outside [{lowest}, {config.blocks}]")
+
+
+def stem_frozen(store: ParamStore) -> bool:
+    """Whether no parameter of the stem (embedding and positional MLP) trains."""
+    return not any(
+        name.startswith(("backbone.embed.", "backbone.pos.")) for name in store.trainable_names()
+    )
+
+
+def frozen_stem(
+    cloud: PointCloud, nbr, attachment, store: ParamStore, config: BackboneConfig
+) -> Resume:
+    """`Resume(0, x, state)` for a pass that starts at block 0, with no graph.
+
+    While `stem_frozen(store)` holds, these are bit for bit the arrays a
+    full pass computes, so `forward(..., resume=frozen_stem(...))` gives its
+    logits without recomputing the embedding, the positional encoding or
+    what the input branch reads of the embedding.
+    """
+    with ag.no_grad():
+        return _stem(cloud, nbr, attachment, store, config, None)
 
 
 def frozen_prefix(
@@ -322,7 +357,7 @@ def frozen_prefix(
     """
     _check_depth(depth, config)
     with ag.no_grad():
-        x = _stem(cloud, None, None, store, config, None)
+        x = _stem(cloud, None, None, store, config, None).x
         return _blocks(x, part, None, store, config, 0, depth, None)
 
 
@@ -334,18 +369,21 @@ def forward(
     store: ParamStore,
     config: BackboneConfig,
     tracer=None,
-    resume: tuple[int, Tensor] | None = None,
+    resume: tuple | None = None,
 ) -> ForwardResult:
     """Full pass: embed, positional refinement, B blocks, segmentation head.
 
     `attachment` is any object exposing the insertion-point hooks
-    (new_latent, input_branch, attention_mods, context_branch, ffn_post),
-    or None for the plain frozen path.  `tracer`, if given, is passed to
-    every site and hook; block i reports its output as `x` at `block{i}`.
+    (new_latent, input_state, input_branch, attention_mods, context_branch,
+    ffn_post), or None for the plain frozen path.  `tracer`, if given, is
+    passed to every site and hook; block i reports its output as `x` at
+    `block{i}`.
 
-    `resume=(k, x)`, with x from `frozen_prefix(..., k)`, skips the stem and
-    blocks 0..k-1: the pass applies block k-1's `ffn_post` hook to x and
-    goes on from block k.  The tracer then sees only the sites after that.
+    `resume` skips work a frozen backbone repeats on every pass, and the
+    tracer then sees only the sites after it.  `resume=(k, x)`, with x from
+    `frozen_prefix(..., k)`, skips the stem and blocks 0..k-1: the pass
+    applies block k-1's `ffn_post` hook to x and goes on from block k.
+    `resume=frozen_stem(...)` skips the stem up to the input branch.
     """
     n = cloud.n
     if part.n != n:
@@ -354,14 +392,18 @@ def forward(
         raise ContractError(f"neighbor index covers {nbr.num_points} points, cloud has {n}")
 
     if resume is None:
-        start, x = 0, _stem(cloud, nbr, attachment, store, config, tracer)
+        start, x, state = _stem(cloud, nbr, attachment, store, config, tracer)
     else:
-        start, x = resume
-        _check_depth(start, config)
+        start, x, state = Resume(*resume)
+        _check_depth(start, config, lowest=0)
         if x.shape != (n, config.d):
             raise ContractError(f"resumed residual has shape {x.shape}, expected {(n, config.d)}")
-        if attachment is not None:
-            x = attachment.ffn_post(x, start - 1, tracer)
+    if attachment is not None and start == 0:
+        branch = attachment.input_branch(state, nbr, tracer)
+        if branch is not None:
+            x = ag.add(x, branch)
+    elif attachment is not None:
+        x = attachment.ffn_post(x, start - 1, tracer)
     x = _blocks(x, part, attachment, store, config, start, config.blocks, tracer)
 
     logits = linear(layer_norm(x, store, "backbone.ln_out"), store, "head")

@@ -401,11 +401,18 @@ def load_cloud(path) -> PointCloud:
     except (IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed header {raw[0]!r}") from exc
     body = raw[1:]
+    if n < 1:
+        raise DataError(f"{path}: header says {n} points; a cloud needs at least one")
     if len(body) != n:
         raise DataError(f"{path}: header says {n} points, found {len(body)} lines")
-    rows = np.array([[float(v) for v in ln.split()] for ln in body])
+    try:
+        rows = np.array([[float(v) for v in ln.split()] for ln in body])
+    except ValueError as exc:  # a non-numeric value, or rows of unequal length
+        raise DataError(f"{path}: malformed point rows: {exc}") from exc
     if rows.shape[1] != 3 + c + 1:
         raise DataError(f"{path}: expected {3 + c + 1} columns, got {rows.shape[1]}")
+    if not np.isfinite(rows).all():
+        raise DataError(f"{path}: non-finite value in point rows")
     labels = rows[:, -1].astype(np.int64)
     return PointCloud(
         coords=rows[:, :3],

@@ -38,6 +38,7 @@ METHODS = (
 )
 SHARING_MODES = ("per_block", "per_stage", "global")
 
+STENCIL_K = 3  # the only stencil size PeftConfig accepts
 DEFAULT_RANK = 8
 DEFAULT_TOKENS = 4
 # budget-matched scans keep tokens proportional to rank at the 4:32 default ratio
@@ -62,8 +63,8 @@ class PeftConfig:
             raise UsageError(f"unknown sharing {self.sharing!r}; choose from {SHARING_MODES}")
         if self.rank < 1 or self.tokens < 1:
             raise UsageError("rank and tokens must be >= 1")
-        if self.k != 3:
-            raise UsageError("stencil size is fixed at k=3")
+        if self.k != STENCIL_K:
+            raise UsageError(f"stencil size is fixed at k={STENCIL_K}")
 
     def active_blocks(self, total: int) -> tuple[int, ...]:
         if not self.blocks:
@@ -125,9 +126,9 @@ def bitfit_select(store: ParamStore) -> None:
 class PeftAttachment:
     """Hook bundle bound to one composed ParamStore.
 
-    The backbone forward calls `input_branch`, `attention_mods`,
-    `context_branch`, and `ffn_post` at its fixed insertion points; methods
-    not taken by the configured variant are inert.
+    The backbone forward calls `input_state`, `input_branch`,
+    `attention_mods`, `context_branch`, and `ffn_post` at its fixed insertion
+    points; methods not taken by the configured variant are inert.
     """
 
     def __init__(self, config: PeftConfig, bconfig: BackboneConfig, store: ParamStore):
@@ -163,7 +164,10 @@ class PeftAttachment:
 
     # -- insertion hooks ----------------------------------------------------
 
-    def input_branch(self, x0: Tensor, nbr: NeighborIndex | None, tracer=None) -> Tensor | None:
+    def input_state(self, x0: Tensor, nbr: NeighborIndex | None) -> Tensor | None:
+        """What `input_branch` reads of the embedding x0: its voxel means,
+        (V, d), for the spatial adapter, else nothing.  A function of x0
+        alone, so a fine-tune computes it once per cloud."""
         if not self.config.has_spatial:
             return None
         if nbr is None:
@@ -172,7 +176,19 @@ class PeftAttachment:
             raise ContractError(
                 f"neighbor index covers {nbr.num_points} points, features have {x0.shape[0]}"
             )
-        return spatial_adapter_branch(x0, nbr, self.store, tracer=tracer)
+        return ag.group_mean(x0, nbr.voxel_of_point, nbr.num_voxels)
+
+    def input_branch(self, state, nbr: NeighborIndex | None, tracer=None) -> Tensor | None:
+        """The branch added to the stem, from `input_state`'s result."""
+        if not self.config.has_spatial:
+            return None
+        if state is None or nbr is None:
+            raise ContractError("spatial adapter needs the voxel means and the neighbor index")
+        if state.shape[0] != nbr.num_voxels:
+            raise ContractError(
+                f"neighbor index has {nbr.num_voxels} voxels, voxel means have {state.shape[0]}"
+            )
+        return spatial_adapter_branch(state, nbr, self.store, tracer=tracer)
 
     def attention_mods(self, block: int) -> AttnMods | None:
         if block not in self._blocks:
@@ -216,29 +232,35 @@ def _kernel_name(offset, k: int) -> str:
     return "peft.sa.kern." + "".join(str(int(v) + k // 2) for v in offset)
 
 
+KERNEL_NAMES = tuple(_kernel_name(off, STENCIL_K) for off in stencil_offsets(STENCIL_K))
+
+
 def adapter_branch(x: Tensor, down: Tensor, up: Tensor) -> Tensor:
     """Bottleneck residual block: x + relu(x W_down) W_up."""
     return ag.add(x, ag.matmul(ag.relu(ag.matmul(x, down)), up))
 
 
 def spatial_adapter_branch(
-    x: Tensor, nbr: NeighborIndex, store: ParamStore, tracer=None
+    vox: Tensor, nbr: NeighborIndex, store: ParamStore, tracer=None
 ) -> Tensor:
     """Stencil aggregation branch (no residual; the caller adds it).
 
-    Project to r dims, average per occupied voxel, apply one r x r kernel per
-    stencil offset and sum (one `ag.stencil` node), ReLU, project back up.
-    Empty offsets contribute nothing.
+    `vox` holds the voxel means of the embedding, (V, d), from
+    `PeftAttachment.input_state`.  Project them to r dims, apply one r x r
+    kernel per stencil offset and sum (one `ag.stencil` node), hand each
+    point its voxel's row, ReLU, project back up.  Averaging before the
+    down-projection is the same linear map as after it, at V instead of n
+    rows.  Empty offsets contribute nothing.
     """
-    n, d = x.shape
+    n = nbr.num_points
+    num_voxels, d = vox.shape
     down, up = store["peft.sa.down"], store["peft.sa.up"]
     r = down.shape[1]
-    vox = ag.group_mean(ag.matmul(x, down), nbr.voxel_of_point, nbr.num_voxels)
-    kernels = [store[_kernel_name(off, nbr.k)] for off in nbr.offsets]
-    mixed = ag.stencil(vox, nbr.neighbor_voxels, kernels)
+    kernels = [store[name] for name in KERNEL_NAMES]
+    mixed = ag.stencil(ag.matmul(vox, down), nbr.neighbor_voxels, kernels)
     per_point = ag.gather_rows(mixed, nbr.voxel_of_point)
     if tracer is not None:
-        tracer.record("sa", n * d * r + len(kernels) * nbr.num_voxels * r * r + n * r * d)
+        tracer.record("sa", num_voxels * d * r + len(kernels) * num_voxels * r * r + n * r * d)
     return ag.matmul(ag.relu(per_point), up)
 
 
@@ -327,8 +349,8 @@ def _add_peft_params(
             store.add(f"peft.block{i}.prompt.pv", down((m, d)))
     if config.has_spatial:
         store.add("peft.sa.down", down((d, r)))
-        for off in stencil_offsets(config.k):
-            store.add(_kernel_name(off, config.k), down((r, r)))
+        for name in KERNEL_NAMES:
+            store.add(name, down((r, r)))
         store.add("peft.sa.up", np.zeros((r, d)))
     if config.has_context:
         for i in blocks:

@@ -333,14 +333,17 @@ class RunRecord:
 
 def frozen_prefixes(
     store: ParamStore, attachment, prepared: list[Prepared], bconfig: bb.BackboneConfig
-) -> list[tuple[int, Tensor] | None]:
-    """Per cloud, the `resume` point its forwards start from: None for a full
-    pass, or `(k, x)` with x the residual entering the attachment's first
-    non-frozen block k."""
+) -> list[tuple | None]:
+    """Per cloud, the `resume` point its forwards start from: `(k, x)` with
+    x the residual entering the attachment's first non-frozen block k; else,
+    if the stem trains nothing, the stem from `backbone.frozen_stem`; else
+    None, a full pass."""
     depth = 0 if attachment is None else attachment.frozen_depth()
-    if depth == 0:
-        return [None] * len(prepared)
-    return [(depth, bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, depth)) for pc in prepared]
+    if depth > 0:
+        return [(depth, bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, depth)) for pc in prepared]
+    if attachment is not None and bb.stem_frozen(store):
+        return [bb.frozen_stem(pc.cloud, pc.nbr, attachment, store, bconfig) for pc in prepared]
+    return [None] * len(prepared)
 
 
 def evaluate(
@@ -348,12 +351,12 @@ def evaluate(
     attachment,
     prepared: list[Prepared],
     bconfig: bb.BackboneConfig,
-    resume: list[tuple[int, Tensor] | None] | None = None,
+    resume: list[tuple | None] | None = None,
 ) -> dict[str, float]:
     """Confusion-matrix metrics accumulated over the whole split.
 
     `resume`, from `frozen_prefixes` on the same split, lets each forward
-    skip the frozen blocks."""
+    skip the frozen work."""
     cm = ConfusionMatrix(bconfig.num_classes)
     resume = resume or [None] * len(prepared)
     with ag.no_grad():

@@ -238,6 +238,37 @@ class TestBackwardContract:
 
         assert run() == run()
 
+    def test_live_graphs_do_not_mix(self):
+        """Two graphs built interleaved over one shared leaf: each backward runs
+        only its own nodes, and the leaf accumulates both."""
+        rng = np.random.default_rng(14)
+        x, w = rand(rng, 3, 3), rand(rng, 3, 3)
+        first = ag.mul(x, 3.0)
+        other = ag.matmul(x, w)  # belongs to the second graph, built in between
+        loss_a = ag.tsum(ag.add(first, ag.mul(x, x)))
+        loss_b = ag.tsum(ag.relu(other))
+        ag.backward(loss_a)
+        np.testing.assert_allclose(x.grad, 3.0 + 2.0 * x.data, rtol=0, atol=1e-15)
+        assert w.grad is None and other.grad is None
+        ag.backward(loss_b)
+        gate = (other.data > 0).astype(float)
+        np.testing.assert_allclose(x.grad, 3.0 + 2.0 * x.data + gate @ w.data.T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w.grad, x.data.T @ gate, rtol=0, atol=1e-15)
+
+    def test_shared_input_gets_every_contribution(self):
+        """A leaf and an intermediate each feed several later nodes."""
+        rng = np.random.default_rng(15)
+        x, w = rand(rng, 2, 3), rand(rng, 3, 3)
+        h = ag.matmul(x, w)
+        y = ag.add(ag.mul(h, 2.0), ag.matmul(h, w))
+        loss = ag.tsum(ag.add(ag.add(y, ag.mul(x, x)), x))
+        ag.backward(loss)
+        ones = np.ones((2, 3))
+        gh = 2.0 * ones + ones @ w.data.T
+        np.testing.assert_allclose(x.grad, gh @ w.data.T + 2.0 * x.data + 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w.grad, x.data.T @ gh + h.data.T @ ones, rtol=0, atol=1e-14)
+        fd_check(lambda: ag.add(ag.add(ag.mul(ag.matmul(x, w), 2.0), ag.matmul(ag.matmul(x, w), w)), ag.mul(x, x)), [x, w])
+
 
 class TestCheckGradients:
     def test_linear_model_is_exact(self):
@@ -365,6 +396,23 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             ag.validate_store_layout(loaded, {"w": (4, 1)})
         ag.validate_store_layout(loaded, {"w": (2, 2)})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "w\t2,x\t0\n1.0 2.0\n",  # a non-integer shape field
+            "w\t2\t0\n",  # a header with no value line
+            "w\t2\t0\n1.0 two\n",  # a non-numeric value
+            "w\t2\tyes\n1.0 2.0\n",  # a non-integer frozen flag
+            "w\t-1,-2\t0\n1.0 2.0\n",  # a negative shape
+        ],
+        ids=["shape", "truncated", "value", "frozen-flag", "negative-shape"],
+    )
+    def test_malformed_record_raises_data_error(self, tmp_path, record):
+        path = tmp_path / "m.ckpt"
+        path.write_text("[config]\nd=2\n[params]\n" + record)
+        with pytest.raises(DataError):
+            ag.load_checkpoint(path)
 
     def test_config_hash_is_order_independent(self):
         assert ag.config_hash({"a": 1, "b": 2}) == ag.config_hash({"b": 2, "a": 1})

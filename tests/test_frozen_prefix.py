@@ -1,8 +1,10 @@
 """Resuming forwards from a cached frozen prefix changes no result.
 
 A fine-tune computes each cloud's frozen prefix once (`frozen_depth`
-blocks) and starts every later forward from it.  The oracle is the same
-run with the cache turned off, by making the attachment report depth 0.
+blocks) and starts every later forward from it; where no block is frozen
+but the stem is, it caches the stem instead.  The oracle is the same run
+with the cache turned off, by making `frozen_prefixes` return no resume
+points.
 """
 
 import numpy as np
@@ -75,6 +77,25 @@ def test_resumed_logits_equal_full_pass(method, blocks):
         assert resumed.logits.data.tobytes() == full.logits.data.tobytes()
 
 
+@pytest.mark.parametrize("method", [m for m in pf.METHODS if m != "bitfit"])
+def test_stem_resumed_logits_equal_full_pass(method):
+    bconfig = four_blocks()
+    store, attachment = perturbed_attachment(pf.PeftConfig(method=method, rank=2, tokens=2), bconfig)
+    assert bb.stem_frozen(store)
+    for pc in tr.prepare(clouds(2, seed=5), bconfig, need_neighbors=True):
+        full = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
+        stem = bb.frozen_stem(pc.cloud, pc.nbr, attachment, store, bconfig)
+        assert stem.depth == 0 and not stem.x.requires_grad
+        assert (stem.state is None) != (method in ("gem", "gem_sa_only"))
+        resumed = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=stem)
+        assert resumed.logits.data.tobytes() == full.logits.data.tobytes()
+
+
+def test_bitfit_trains_the_stem():
+    store, _ = perturbed_attachment(pf.PeftConfig(method="bitfit"), four_blocks())
+    assert not bb.stem_frozen(store)
+
+
 def test_resume_rejects_bad_depth_and_shape():
     bconfig = four_blocks()
     store = bb.init_backbone(bconfig, 3)
@@ -115,7 +136,7 @@ CASES = [
 @pytest.mark.parametrize("config", CASES, ids=lambda c: f"{c.method}-{c.sharing}-{c.blocks}")
 def test_finetune_matches_uncached_run(config, eval_split, monkeypatch):
     cached = run_finetune(config, eval_split)
-    monkeypatch.setattr(pf.PeftAttachment, "frozen_depth", lambda self: 0)
+    monkeypatch.setattr(tr, "frozen_prefixes", lambda store, attachment, prepared, bconfig: [None] * len(prepared))
     uncached = run_finetune(config, eval_split)
     assert cached[1] == uncached[1]
     assert cached[0] == uncached[0]
@@ -139,3 +160,25 @@ def test_linear_probe_runs_the_frozen_blocks_once_per_cloud(monkeypatch):
         tr.TrainConfig(epochs=3, batch_size=2, seed=1), eval_clouds=held_out,
     )
     assert len(calls) == bconfig.blocks * (len(train) + len(held_out))
+
+
+@pytest.mark.parametrize("method", ["gem", "lora"])
+def test_fine_tune_embeds_each_cloud_once(method, monkeypatch):
+    """With the stem frozen and no block frozen, E epochs over N training and
+    M eval clouds embed each cloud once: N + M calls, not E * (N + M)."""
+    calls = []
+    original = bb.embed
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "embed", counting)
+    bconfig = four_blocks()
+    train, held_out = clouds(3, seed=9), clouds(2, seed=10)
+    _, attachment, _ = tr.finetune(
+        bb.init_backbone(bconfig, 3), bconfig, pf.PeftConfig(method=method, rank=2, tokens=2), train,
+        tr.TrainConfig(epochs=3, batch_size=2, seed=1), eval_clouds=held_out,
+    )
+    assert attachment.frozen_depth() == 0
+    assert len(calls) == len(train) + len(held_out)

@@ -1,8 +1,11 @@
 """Fused single-node ops against central differences and plain-numpy oracles.
 
 Each oracle is the multi-step composition the fused op replaces, written
-out in numpy: the seven-step layer norm, the split-heads patch attention
-chain, the two-matmul latent attention and the 27-term stencil loop.
+out in numpy: the seven-step layer norm, the two-layer perceptron, the
+projections plus split-heads patch attention chain, the two-matmul latent
+attention and the 27-term stencil loop.  The short-row kernels (softmax,
+its gradient and the layer norm's row means) are checked against the
+per-row numpy reductions they replace.
 """
 
 import math
@@ -72,6 +75,23 @@ def patch_attention_oracle(q, k, v, index, heads, pk=None, pv=None):
     result = np.empty((n, d))
     result[index.ravel()[valid]] = out[valid]
     return result, weights
+
+
+def attention_oracle(x, weights, index, heads, lora=None, prompts=None):
+    """Each projection on its own, LoRA deltas added, then the split-heads chain."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
+    if lora is not None:
+        q_down, q_up, k_down, k_up = lora
+        q = q + (x @ q_down) @ q_up
+        k = k + (x @ k_down) @ k_up
+    pk, pv = prompts if prompts is not None else (None, None)
+    mixed, attn = patch_attention_oracle(q, k, v, index, heads, pk, pv)
+    return mixed @ wo + bo, attn
+
+
+def mlp_oracle(x, w1, b1, w2, b2):
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
 
 
 def stencil_oracle(vox, neighbors, kernels):
@@ -177,58 +197,223 @@ def padded_index(rng, n, p):
     return geo.partition(rng.permutation(n), n, p).index
 
 
+def attention_case(rng, n, d, m=0, r=0):
+    """Input, the eight projection tensors, and optional prompts and LoRA factors."""
+    x = rand(rng, n, d)
+    weights = [rand(rng, *shape) for _ in range(4) for shape in ((d, d), (d,))]
+    prompts = (rand(rng, m, d), rand(rng, m, d)) if m else None
+    lora = tuple(rand(rng, *shape) for _ in range(2) for shape in ((d, r), (r, d))) if r else None
+    return x, weights, prompts, lora
+
+
+def data_of(tensors):
+    return None if tensors is None else [t.data for t in tensors]
+
+
 class TestPatchAttention:
     @pytest.mark.parametrize("m", [0, 3])
     def test_matches_split_heads_oracle(self, m):
         rng = np.random.default_rng(8 + m)
         n, d, heads, p = 23, 8, 2, 5
         index = padded_index(rng, n, p)
-        q, k, v = (rand(rng, n, d) for _ in range(3))
-        pk, pv = (rand(rng, m, d) for _ in range(2)) if m else (None, None)
-        out, weights = ag.patch_attention(q, k, v, index, heads, pk, pv)
-        want, want_w = patch_attention_oracle(
-            q.data, k.data, v.data, index, heads,
-            None if pk is None else pk.data, None if pv is None else pv.data,
+        x, weights, prompts, _ = attention_case(rng, n, d, m=m)
+        out, attn = ag.patch_attention(x, weights, index, heads, prompts=prompts)
+        want, want_w = attention_oracle(x.data, data_of(weights), index, heads, prompts=data_of(prompts))
+        assert attn.shape == (index.shape[0] * heads, p, m + p)
+        np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    def test_lora_matches_oracle(self):
+        rng = np.random.default_rng(20)
+        n, d, heads, p = 23, 8, 2, 5
+        index = padded_index(rng, n, p)
+        x, weights, _, lora = attention_case(rng, n, d, r=3)
+        out, attn = ag.patch_attention(x, weights, index, heads, lora=lora)
+        want, want_w = attention_oracle(x.data, data_of(weights), index, heads, lora=data_of(lora))
+        np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    def test_unpadded_patches_match_oracle(self):
+        rng = np.random.default_rng(21)
+        n, d, heads, p = 20, 8, 4, 5
+        index = padded_index(rng, n, p)
+        assert (index >= 0).all()
+        x, weights, prompts, lora = attention_case(rng, n, d, m=2, r=2)
+        out, attn = ag.patch_attention(x, weights, index, heads, lora, prompts)
+        want, want_w = attention_oracle(
+            x.data, data_of(weights), index, heads, data_of(lora), data_of(prompts)
         )
-        assert weights.shape == (index.shape[0] * heads, p, m + p)
-        np.testing.assert_allclose(weights, want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
     def test_padded_keys_get_zero_weight(self):
         rng = np.random.default_rng(10)
         index = padded_index(rng, 7, 4)
-        q, k, v = (rand(rng, 7, 4) for _ in range(3))
-        _, weights = ag.patch_attention(q, k, v, index, 2)
-        assert (weights[-2:, :, 3:] == 0.0).all()
+        x, weights, _, _ = attention_case(rng, 7, 4)
+        _, attn = ag.patch_attention(x, weights, index, 2)
+        assert (attn[-2:, :, 3:] == 0.0).all()
 
     def test_central_differences_with_prompts_and_padding(self):
         rng = np.random.default_rng(11)
         n, d, heads, p, m = 7, 4, 2, 3, 2
         index = padded_index(rng, n, p)
         assert (index < 0).any()
-        q, k, v = (rand(rng, n, d) for _ in range(3))
-        pk, pv = rand(rng, m, d), rand(rng, m, d)
+        x, weights, prompts, _ = attention_case(rng, n, d, m=m)
         g = probe(rng, n, d)
         fd_check(
-            lambda: ag.mul(ag.patch_attention(q, k, v, index, heads, pk, pv)[0], g),
-            [q, k, v, pk, pv],
+            lambda: ag.mul(ag.patch_attention(x, weights, index, heads, prompts=prompts)[0], g),
+            [x, *weights, *prompts],
         )
 
     def test_central_differences_without_prompts(self):
         rng = np.random.default_rng(12)
         index = padded_index(rng, 6, 4)
-        q, k, v = (rand(rng, 6, 4) for _ in range(3))
+        x, weights, _, _ = attention_case(rng, 6, 4)
         g = probe(rng, 6, 4)
-        fd_check(lambda: ag.mul(ag.patch_attention(q, k, v, index, 2)[0], g), [q, k, v])
+        fd_check(lambda: ag.mul(ag.patch_attention(x, weights, index, 2)[0], g), [x, *weights])
+
+    def test_central_differences_with_lora(self):
+        rng = np.random.default_rng(22)
+        index = padded_index(rng, 7, 3)
+        x, weights, _, lora = attention_case(rng, 7, 4, r=2)
+        g = probe(rng, 7, 4)
+        fd_check(
+            lambda: ag.mul(ag.patch_attention(x, weights, index, 2, lora=lora)[0], g),
+            [x, *weights, *lora],
+        )
+
+    def test_frozen_inputs_get_no_gradient(self):
+        """Gradients land on the stored tensors passed in, and only on trainable ones."""
+        rng = np.random.default_rng(23)
+        index = padded_index(rng, 7, 3)
+        x, weights, _, lora = attention_case(rng, 7, 4, r=2)
+        frozen = [x, weights[0], weights[3], weights[6], lora[0]]
+        for t in frozen:
+            t.requires_grad = False
+        ag.backward(ag.tsum(ag.patch_attention(x, weights, index, 2, lora=lora)[0]))
+        assert all(t.grad is None for t in frozen)
+        assert all(t.grad is not None for t in (*weights, *lora) if t.requires_grad)
 
     def test_nan_logits_rejected(self):
         rng = np.random.default_rng(13)
         index = padded_index(rng, 5, 4)
-        q = rng.normal(size=(5, 4))
-        q[2, 0] = np.nan
-        k = ag.Tensor(rng.normal(size=(5, 4)))
+        x, weights, _, _ = attention_case(rng, 5, 4)
+        x.data[2, 0] = np.nan
         with pytest.raises(NumericError):
-            ag.patch_attention(ag.Tensor(q), k, k, index, 2)
+            ag.patch_attention(x, weights, index, 2)
+
+
+# ---------------------------------------------------------------------------
+# two-layer perceptron
+
+
+class TestMlp:
+    def test_matches_numpy_oracle(self):
+        rng = np.random.default_rng(24)
+        args = (rand(rng, 9, 5), rand(rng, 5, 7), rand(rng, 7), rand(rng, 7, 4), rand(rng, 4))
+        got = ag.mlp(*args).data
+        np.testing.assert_allclose(got, mlp_oracle(*data_of(args)), rtol=0, atol=1e-12)
+
+    def test_central_differences(self):
+        rng = np.random.default_rng(25)
+        args = (rand(rng, 6, 3), rand(rng, 3, 5), rand(rng, 5), rand(rng, 5, 2), rand(rng, 2))
+        g = probe(rng, 6, 2)
+        fd_check(lambda: ag.mul(ag.mlp(*args), g), list(args))
+
+    def test_gradients_match_the_three_node_chain(self):
+        rng = np.random.default_rng(26)
+        args = (rand(rng, 6, 3), rand(rng, 3, 5), rand(rng, 5), rand(rng, 5, 2), rand(rng, 2))
+        x, w1, b1, w2, b2 = args
+        g = probe(rng, 6, 2)
+        ag.backward(ag.tsum(ag.mul(ag.mlp(*args), g)))
+        fused = [t.grad.copy() for t in args]
+        for t in args:
+            t.grad = None
+        chain = ag.affine(ag.relu(ag.affine(x, w1, b1)), w2, b2)
+        ag.backward(ag.tsum(ag.mul(chain, g)))
+        for got, t in zip(fused, args):
+            np.testing.assert_allclose(got, t.grad, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# short-row kernels
+
+
+def softmax_grad_oracle(s, g):
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+class TestShortRows:
+    def test_row_and_column_sums(self):
+        rng = np.random.default_rng(27)
+        a = rng.normal(size=(4, 6, 16))
+        np.testing.assert_allclose(ag._row_sums(a), a.sum(axis=-1, keepdims=True), rtol=0, atol=1e-12)
+        b = rng.normal(size=(9, 5))
+        np.testing.assert_allclose(ag._col_sums(b), b.sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_softmax_matches_per_row_shift(self):
+        rng = np.random.default_rng(28)
+        z = rng.normal(0.0, 4.0, (36, 16, 16))
+        np.testing.assert_allclose(ag.softmax(z), softmax_oracle(z), rtol=0, atol=1e-12)
+
+    def test_far_row_falls_back_to_per_row_shift(self):
+        """Unshifted, the low row's exponentials underflow to 0."""
+        rng = np.random.default_rng(29)
+        z = rng.normal(size=(3, 8))
+        z[1] -= 800.0
+        assert np.exp(z[1]).sum() == 0.0
+        got = ag.softmax(z)
+        np.testing.assert_allclose(got, softmax_oracle(z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    def test_row_near_the_threshold_keeps_precision(self):
+        z = np.array([[0.0, 1.0, 2.0], [-640.0, -641.0, -639.0]])
+        np.testing.assert_allclose(ag.softmax(z), softmax_oracle(z), rtol=0, atol=1e-12)
+
+    def test_large_logits_fall_back_without_overflow(self):
+        z = np.array([[700.0, 699.0, 0.0], [1.0, 2.0, 3.0]])
+        got = ag.softmax(z)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, softmax_oracle(z), rtol=0, atol=1e-12)
+
+    def test_each_row_depends_on_that_row_alone(self):
+        """Bit for bit: patch locality rests on this (acceptance criterion 7)."""
+        rng = np.random.default_rng(32)
+        z = rng.normal(0.0, 3.0, (4, 16, 16))
+        bumped = z.copy()
+        bumped[0, 3, 5] += 7.0
+        same = np.ones(z.shape[:-1], dtype=bool)
+        same[0, 3] = False
+        assert (ag.softmax(bumped)[same] == ag.softmax(z)[same]).all()
+
+    def test_nan_raises(self):
+        z = np.zeros((2, 3, 4))
+        z[1, 2, 3] = np.nan
+        with pytest.raises(NumericError):
+            ag.softmax(z)
+
+    def test_softmax_grad_matches_oracle(self):
+        rng = np.random.default_rng(30)
+        s = softmax_oracle(rng.normal(size=(5, 16, 16)))
+        g = rng.normal(size=(5, 16, 16))
+        np.testing.assert_allclose(ag.softmax_grad(s, g), softmax_grad_oracle(s, g), rtol=0, atol=1e-12)
+
+    def test_layer_norm_gradients_match_numpy_means(self):
+        """The closed-form input gradient, with numpy's row means, on (144, 32) rows."""
+        rng = np.random.default_rng(31)
+        x, scale, shift = rand(rng, 144, 32), rand(rng, 32), rand(rng, 32)
+        g = rng.normal(size=(144, 32))
+        out = ag.layer_norm(x, scale, shift, 1e-5)
+        ag.backward(ag.tsum(ag.mul(out, g)))
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
+        xhat = centered * inv
+        gx = g * scale.data
+        want = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        np.testing.assert_allclose(out.data, xhat * scale.data + shift.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scale.grad, (g * xhat).sum(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shift.grad, g.sum(axis=0), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,27 @@ class TestCloudIO:
         with pytest.raises(DataError):
             geo.load_cloud(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0 0 0 1.0 0\n0 0 0 1.0\n",  # ragged rows
+            "0 0 0 1.0 0\n0 0 zero 1.0 0\n",  # a non-numeric value
+            "0 0 0 1.0 0\n0 0 0 nan 0\n",  # a NaN feature
+        ],
+        ids=["ragged", "non-numeric", "nan-feature"],
+    )
+    def test_malformed_rows_raise_data_error(self, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text("#points 2 channels 1 classes 1\n" + body)
+        with pytest.raises(DataError):
+            geo.load_cloud(path)
+
+    def test_empty_cloud_raises_data_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("#points 0 channels 1 classes 1\n")
+        with pytest.raises(DataError):
+            geo.load_cloud(path)
+
 
 class TestSceneSpecIO:
     def test_parse_round_trip(self):

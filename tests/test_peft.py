@@ -216,7 +216,7 @@ class TestSpatialAdapter:
         cloud = rand_cloud(np.random.default_rng(8), 1)
         nbr = geo.build_neighbor_index(cloud, bconfig.voxel_size)
         x0 = bb.embed(cloud, store)
-        branch = peft.spatial_adapter_branch(x0, nbr, store).data
+        branch = peft.spatial_adapter_branch(attachment.input_state(x0, nbr), nbr, store).data
         manual = np.maximum(
             x0.data @ store["peft.sa.down"].data @ store["peft.sa.kern.111"].data, 0.0
         ) @ store["peft.sa.up"].data
@@ -243,10 +243,11 @@ class TestSpatialAdapter:
         cloud = rand_cloud(rng, 6)
         nbr = geo.build_neighbor_index(cloud, bconfig.voxel_size)
         x0 = ag.Tensor(rng.uniform(0.2, 1.0, (6, 8)))
+        vox = attachment.input_state(x0, nbr)
         probe = ag.Tensor(rng.normal(size=(6, 8)))
 
         def f():
-            return ag.tsum(ag.mul(peft.spatial_adapter_branch(x0, nbr, store), probe))
+            return ag.tsum(ag.mul(peft.spatial_adapter_branch(vox, nbr, store), probe))
 
         assert ag.check_gradients(f, store) < 1e-4
 
