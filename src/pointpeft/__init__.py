@@ -5,7 +5,22 @@ PEFT attachments (linear probe, BitFit, adapter, LoRA, prompt tuning,
 and the geometry mixer with its spatial and context adapters).
 """
 
-from .autograd import (
+import os as _os
+import sys as _sys
+
+# One BLAS thread per process, set before numpy loads.  Training splits its
+# batches between two processes, and on a 2-core machine two processes with
+# two OpenBLAS threads each pretrained about four times slower than with one.
+# The training loop splits only if the setting held when numpy loaded; if
+# numpy was loaded before this package, the variables as they stand now are
+# all it can see.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules:
+    for _var in _BLAS_THREAD_VARS:
+        _os.environ.setdefault(_var, "1")
+_one_blas_thread = all(_os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS)
+
+from .autograd import (  # noqa: E402  (numpy must load after the settings above)
     ParamStore,
     Tensor,
     check_gradients,

@@ -297,7 +297,16 @@ def _cmd_count_ops(args, command: str) -> int:
 
 
 _SWEEP_LIST_KEYS = ("methods", "ranks", "tokens", "sharing", "seeds", "budgets")
-_SWEEP_SCALAR_KEYS = ("epochs", "lr", "wd", "batch_size", "data_fraction")
+_SWEEP_SCALAR_KEYS = {"epochs": int, "lr": float, "wd": float, "batch_size": int, "data_fraction": float}
+
+
+def _sweep_number(key: str, text: str, kind):
+    """`text` as `kind` (int or float); a malformed value names its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"sweep config {key} = {text!r} is not {what}") from None
 
 
 def parse_sweep_config(text: str) -> dict:
@@ -328,10 +337,10 @@ def parse_sweep_config(text: str) -> dict:
 def expand_sweep_cells(cfg: dict, bconfig: bb.BackboneConfig) -> list[pf.PeftConfig]:
     """One PeftConfig per grid cell, axes collapsed where a method ignores
     them, duplicates removed."""
-    ranks = tuple(int(r) for r in cfg.get("ranks", (pf.DEFAULT_RANK,)))
-    tokens = tuple(int(m) for m in cfg.get("tokens", (pf.DEFAULT_TOKENS,)))
+    ranks = tuple(_sweep_number("ranks", r, int) for r in cfg.get("ranks", (pf.DEFAULT_RANK,)))
+    tokens = tuple(_sweep_number("tokens", m, int) for m in cfg.get("tokens", (pf.DEFAULT_TOKENS,)))
     sharing = tuple(cfg.get("sharing", ("global",)))
-    budgets = tuple(float(b) for b in cfg.get("budgets", ()))
+    budgets = tuple(_sweep_number("budgets", b, float) for b in cfg.get("budgets", ()))
     cells, seen = [], set()
 
     def push(pconfig):
@@ -363,11 +372,21 @@ def expand_sweep_cells(cfg: dict, bconfig: bb.BackboneConfig) -> list[pf.PeftCon
 def _cmd_sweep(args, command: str) -> int:
     with open(args.config) as fh:
         cfg = parse_sweep_config(fh.read())
+    num = {key: _sweep_number(key, cfg[key], kind) for key, kind in _SWEEP_SCALAR_KEYS.items() if key in cfg}
+    tconfigs = [
+        tr.TrainConfig(
+            epochs=num.get("epochs", 5),
+            learning_rate=num.get("lr", 1e-3),
+            weight_decay=num.get("wd", 1e-2),
+            batch_size=num.get("batch_size", 8),
+            seed=_sweep_number("seeds", seed, int),
+        )
+        for seed in cfg.get("seeds", ("0",))
+    ]
+    fraction = num.get("data_fraction", 1.0)
     bconfig, bstore = bb.load_backbone(args.backbone)
     clouds = tr.load_dataset(args.data)
-    seeds = tuple(int(s) for s in cfg.get("seeds", ("0",)))
     cells = expand_sweep_cells(cfg, bconfig)
-    fraction = float(cfg.get("data_fraction", 1.0))
 
     lines = [f"# cmd: {command}"]
     lines.append(f"# hash: {ag.config_hash({k: ','.join(map(str, v)) if isinstance(v, tuple) else v for k, v in cfg.items()})}")
@@ -375,17 +394,10 @@ def _cmd_sweep(args, command: str) -> int:
     worst = 0
     for pconfig in cells:
         pct = 100.0 * pf.trainable_fraction(pconfig, bconfig)
-        for seed in seeds:
-            tconfig = tr.TrainConfig(
-                epochs=int(cfg.get("epochs", 5)),
-                learning_rate=float(cfg.get("lr", 1e-3)),
-                weight_decay=float(cfg.get("wd", 1e-2)),
-                batch_size=int(cfg.get("batch_size", 8)),
-                seed=seed,
-            )
+        for tconfig in tconfigs:
             prefix = (
                 f"{pconfig.method},{pconfig.rank},{pconfig.tokens},"
-                f"{pconfig.sharing},{seed}"
+                f"{pconfig.sharing},{tconfig.seed}"
             )
             try:
                 _store, _att, record = tr.finetune(
@@ -407,7 +419,7 @@ def _cmd_sweep(args, command: str) -> int:
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _print_hash(lines[1].removeprefix("# hash: "))
-    print(f"wrote {len(cells) * len(seeds)} cells to {args.out}")
+    print(f"wrote {len(cells) * len(tconfigs)} cells to {args.out}")
     return worst
 
 

@@ -8,7 +8,13 @@ accumulates one confusion matrix over the whole split.
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
+import signal
+import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +23,7 @@ from . import autograd as ag
 from . import backbone as bb
 from . import peft as pf
 from .autograd import ParamStore, Tensor, cross_entropy, named_rng
-from .errors import DataError, FreezeViolation, NumericError, UsageError
+from .errors import ContractError, DataError, FreezeViolation, NumericError, UsageError
 from .geometry import (
     NeighborIndex,
     PatchPartition,
@@ -203,8 +209,6 @@ def generate_dataset(spec: SceneSpec, count: int, seed: int) -> list[PointCloud]
 
 def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int, command: str = "") -> list[str]:
     """Cloud files plus a manifest carrying names, seeds, and the spec hash."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     seeds = named_rng(seed, "data").integers(0, 2**31, count)
     spec_hash = ag.config_hash({"spec": scene_spec_text(spec)})
@@ -228,8 +232,6 @@ def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int, command: str 
 
 def load_dataset(path) -> list[PointCloud]:
     """Clouds listed in a directory manifest, in manifest order."""
-    import os
-
     manifest = os.path.join(path, "manifest.txt")
     if not os.path.exists(manifest):
         raise DataError(f"{path}: no manifest.txt; not a dataset directory")
@@ -346,26 +348,195 @@ def frozen_prefixes(
     return [None] * len(prepared)
 
 
-def evaluate(
+def _confusion(
     store: ParamStore,
     attachment,
     prepared: list[Prepared],
     bconfig: bb.BackboneConfig,
-    resume: list[tuple | None] | None = None,
-) -> dict[str, float]:
-    """Confusion-matrix metrics accumulated over the whole split.
-
-    `resume`, from `frozen_prefixes` on the same split, lets each forward
-    skip the frozen work."""
+    resume: list[tuple | None],
+) -> ConfusionMatrix:
     cm = ConfusionMatrix(bconfig.num_classes)
-    resume = resume or [None] * len(prepared)
     with ag.no_grad():
         for pc, start in zip(prepared, resume):
             if pc.cloud.labels is None:
                 raise DataError("evaluation requires annotated clouds")
             out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=start)
             cm.update(out.logits.data.argmax(axis=1), pc.cloud.labels)
+    return cm
+
+
+def evaluate(
+    store: ParamStore,
+    attachment,
+    prepared: list[Prepared],
+    bconfig: bb.BackboneConfig,
+    resume: list[tuple | None] | None = None,
+    helper: _Helper | None = None,
+) -> dict[str, float]:
+    """Confusion-matrix metrics accumulated over the whole split.
+
+    `resume`, from `frozen_prefixes` on the same split, lets each forward
+    skip the frozen work.  `helper` is set only by the training loop, whose
+    forked helper then evaluates the second half of the split."""
+    resume = resume or [None] * len(prepared)
+    mine = _parent_share(len(prepared), helper)
+    if mine < len(prepared):
+        helper.request("eval", helper.split_of(prepared), mine)
+    cm = _confusion(store, attachment, prepared[:mine], bconfig, resume[:mine])
+    if mine < len(prepared):
+        cm.merge(helper.reply())
     return cm.metrics()
+
+
+def _cloud_grads(
+    store: ParamStore,
+    attachment,
+    pc: Prepared,
+    start: tuple | None,
+    bconfig: bb.BackboneConfig,
+    scale: float,
+    epoch: int,
+) -> tuple[float, dict[str, Array]]:
+    """One cloud's loss and the gradient of `scale` times it, by parameter
+    name; the store is left with no gradients."""
+    if pc.cloud.labels is None:
+        raise DataError("training requires annotated clouds")
+    out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=start)
+    loss = cross_entropy(out.logits, pc.cloud.labels)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericError(f"loss diverged to {value} at epoch {epoch}")
+    ag.backward(ag.mul(loss, scale))
+    grads = {name: t.grad for name, t in store.items() if t.grad is not None}
+    store.zero_grads()
+    return value, grads
+
+
+def _split_allowed(attachment, bconfig: bb.BackboneConfig) -> bool:
+    """Whether `_run_epochs` forks a helper: two usable CPUs, the `fork`
+    start method, no other Python thread (a fork copies locks other threads
+    may hold), one BLAS thread per process (`pointpeft/__init__.py`) and a
+    pass that runs at least one block."""
+    from . import _one_blas_thread
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (
+        _one_blas_thread
+        and (cpus or 1) >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+        and (attachment is None or attachment.frozen_depth() < bconfig.blocks)
+    )
+
+
+def _parent_share(count: int, helper: _Helper | None) -> int:
+    """How many of `count` clouds the parent takes; the helper gets the rest."""
+    return count if helper is None or count < 2 else count // 2
+
+
+class _Helper:
+    """A forked copy of the training process that runs the second half of
+    every batch and every per-epoch evaluation of one `_run_epochs` call.
+
+    Arrays travel through memory both processes map: row 0 holds the
+    parent's trainable arrays, written before every request, and row k + 1
+    the gradients of the helper's k-th cloud of a batch.  The pipe carries
+    only the requests and the small rest of each answer (losses, which
+    gradients exist, gradients on any other parameter, a confusion matrix)
+    or the exception the helper's share raised, which `reply` raises here.
+    """
+
+    def __init__(self, store, attachment, bconfig, splits, batch_size: int):
+        self.store, self.attachment, self.bconfig, self.splits = store, attachment, bconfig, splits
+        self.names = store.trainable_names()
+        self.trainable = [store[name] for name in self.names]
+        sizes = [t.data.size for t in self.trainable]
+        rows = 1 + batch_size - _parent_share(batch_size, self)
+        self.shared = mmap.mmap(-1, 8 * max(1, rows * sum(sizes)))  # anonymous, shared on fork
+        flat = np.frombuffer(self.shared, np.float64, rows * sum(sizes))
+        ends = np.cumsum(sizes)
+        self.rows = [
+            [r[e - n : e].reshape(t.shape) for t, n, e in zip(self.trainable, sizes, ends)]
+            for r in flat.reshape(rows, -1)
+        ]
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=self._serve, args=(child,), daemon=True)
+        self.proc.start()
+        child.close()
+
+    def __enter__(self) -> _Helper:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        """Closing the pipe ends the helper; after an exception it is killed
+        instead, since it may be blocked writing an answer nobody reads."""
+        if exc_type is not None:
+            self.proc.kill()
+        self.conn.close()
+        self.proc.join()
+
+    def split_of(self, prepared: list[Prepared]) -> int:
+        return next(i for i, (p, _) in enumerate(self.splits) if p is prepared)
+
+    def request(self, *message) -> None:
+        for view, t in zip(self.rows[0], self.trainable):
+            view[...] = t.data
+        self.conn.send(message)
+
+    def reply(self):
+        try:
+            answer = self.conn.recv()
+        except EOFError:
+            raise ContractError("the training helper process ended without replying") from None
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    def batch_reply(self) -> list[tuple[float, dict[str, Array]]]:
+        """Each of the helper's clouds' loss and gradients, as `_cloud_grads`."""
+        out = []
+        for row, (value, present, rest) in zip(self.rows[1:], self.reply()):
+            grads = {self.names[j]: row[j].copy() for j in present}
+            out.append((value, {**grads, **rest}))
+        return out
+
+    def _serve(self, conn) -> None:
+        """The helper's loop; it ends when the parent closes its end or dies."""
+        self.conn.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+        store, attachment, bconfig = self.store, self.attachment, self.bconfig
+        while True:
+            try:
+                kind, split, *args = conn.recv()
+            except EOFError:
+                return
+            for view, t in zip(self.rows[0], self.trainable):
+                t.data[...] = view
+            prepared, resume = self.splits[split]
+            try:
+                if kind == "batch":
+                    indices, scale, epoch = args
+                    answer = []
+                    for row, i in zip(self.rows[1:], indices):
+                        value, grads = _cloud_grads(
+                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch
+                        )
+                        present = [j for j, name in enumerate(self.names) if name in grads]
+                        for j in present:
+                            row[j][...] = grads.pop(self.names[j])
+                        answer.append((value, present, grads))
+                else:
+                    (lo,) = args
+                    answer = _confusion(store, attachment, prepared[lo:], bconfig, resume[lo:])
+            except Exception as exc:
+                answer = exc
+            conn.send(answer)
+
+
+def _add_grads(total: dict[str, Array], grads: dict[str, Array]) -> None:
+    for name, g in grads.items():
+        total[name] = g if name not in total else total[name] + g
 
 
 def _run_epochs(
@@ -377,6 +548,8 @@ def _run_epochs(
     tconfig: TrainConfig,
     record: RunRecord,
 ) -> None:
+    """Every batch sums its clouds' gradients in batch order, each computed
+    on its own, so a batch split with the helper gives the serial bytes."""
     state = OptState(tconfig)
     shuffle_rng = named_rng(tconfig.seed, "shuffle")
     t0 = time.perf_counter()
@@ -387,30 +560,38 @@ def _run_epochs(
         if eval_prepared is prepared
         else frozen_prefixes(store, attachment, eval_prepared, bconfig)
     )
-    for epoch in range(tconfig.epochs):
-        lr = lr_at(tconfig, epoch)
-        order = shuffle_rng.permutation(len(prepared))
-        losses = []
-        for start in range(0, len(order), tconfig.batch_size):
-            chunk = order[start : start + tconfig.batch_size]
-            for idx in chunk:
-                pc = prepared[int(idx)]
-                if pc.cloud.labels is None:
-                    raise DataError("training requires annotated clouds")
-                out = bb.forward(
-                    pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=resume[int(idx)]
-                )
-                loss = cross_entropy(out.logits, pc.cloud.labels)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(f"loss diverged to {value} at epoch {epoch}")
-                ag.backward(ag.mul(loss, 1.0 / len(chunk)))
-                losses.append(value)
-            step(store, state, lr)
-        metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume)
-        record.epochs.append(
-            EpochStats(epoch=epoch, loss=float(np.mean(losses)), **metrics)
-        )
+    splits = [(prepared, resume), (eval_prepared, eval_resume)]
+    parallel = _split_allowed(attachment, bconfig)
+    helper = _Helper(store, attachment, bconfig, splits, tconfig.batch_size) if parallel else None
+    with helper or nullcontext():
+        for epoch in range(tconfig.epochs):
+            lr = lr_at(tconfig, epoch)
+            order = shuffle_rng.permutation(len(prepared))
+            losses = []
+            for start in range(0, len(order), tconfig.batch_size):
+                chunk = [int(i) for i in order[start : start + tconfig.batch_size]]
+                scale = 1.0 / len(chunk)
+                mine = _parent_share(len(chunk), helper)
+                if mine < len(chunk):
+                    helper.request("batch", 0, chunk[mine:], scale, epoch)
+                total: dict[str, Array] = {}
+                for i in chunk[:mine]:
+                    value, grads = _cloud_grads(
+                        store, attachment, prepared[i], resume[i], bconfig, scale, epoch
+                    )
+                    losses.append(value)
+                    _add_grads(total, grads)
+                if mine < len(chunk):
+                    for value, grads in helper.batch_reply():
+                        losses.append(value)
+                        _add_grads(total, grads)
+                for name, g in total.items():
+                    store[name].grad = g
+                step(store, state, lr)
+            metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume, helper)
+            record.epochs.append(
+                EpochStats(epoch=epoch, loss=float(np.mean(losses)), **metrics)
+            )
     record.wall_time = time.perf_counter() - t0
     record.trainable = store.trainable_count
     record.total = store.total_count

@@ -1,4 +1,11 @@
+import os
 import sys
+
+# One BLAS thread, set before anything imports numpy, as perfbench/run.py
+# does: the training loop splits work between two processes only under this
+# setting, and OpenBLAS's own threads slow the suite's small matmuls down.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

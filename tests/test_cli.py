@@ -311,6 +311,25 @@ class TestSweep:
                 assert 0.0 <= float(v) <= 1.0
         assert "config hash: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seeds", "0, x"), ("epochs", "abc"), ("lr", "fast"), ("wd", "1e-2e"),
+            ("batch_size", "2.5"), ("data_fraction", "half"),
+            ("ranks", "two"), ("tokens", "1, many"), ("budgets", "5%"),
+        ],
+    )
+    def test_malformed_number_is_a_usage_error(self, ws, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"methods = linear, gem\nepochs = 1\n{key} = {value}\n")
+        out = tmp_path / "results.csv"
+        code = cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
+                         "--data", str(ws["tgt"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep config {key} = ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_cell_failure_recorded_and_exit_reflects_worst(self, ws, tmp_path, monkeypatch):
         real = tr.finetune
 

@@ -1,0 +1,175 @@
+"""Splitting each batch and evaluation with a forked helper changes no result.
+
+`training._run_epochs` forks one helper per call where `_split_allowed`
+says so.  These tests force the split on or off through that seam and
+compare the bytes of both runs, then check that no helper outlives a
+`pretrain` or `finetune` call, whether it returns or raises.
+"""
+
+import multiprocessing
+import os
+from dataclasses import replace
+
+import pytest
+
+import pointpeft
+from pointpeft import autograd as ag
+from pointpeft import backbone as bb
+from pointpeft import peft as pf
+from pointpeft import training as tr
+from pointpeft.errors import DataError, NumericError
+
+
+def four_blocks():
+    return bb.BackboneConfig(
+        d=16, blocks=4, patch_size=8, heads=2, ffn_mult=2, num_classes=3,
+        in_channels=6, voxel_size=0.5, stages=((0, 2), (2, 4)),
+    )
+
+
+def clouds(count, seed):
+    return tr.generate_dataset(tr.target_spec(points_per_class=12), count, seed)
+
+
+def split(monkeypatch, on: bool):
+    monkeypatch.setattr(tr, "_split_allowed", lambda attachment, bconfig: on)
+
+
+@pytest.fixture(autouse=True)
+def no_helper_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def test_one_blas_thread_under_the_suite():
+    assert pointpeft._one_blas_thread
+
+
+def test_pretrain_checkpoint_bytes_equal(monkeypatch, tmp_path):
+    bconfig = four_blocks()
+    # 7 clouds in batches of 3: a split batch of 3 and a last batch of 1
+    tconfig = tr.TrainConfig(epochs=2, batch_size=3, seed=5, learning_rate=1e-2)
+    data = clouds(7, seed=3)
+    written = []
+    for on in (False, True):
+        split(monkeypatch, on)
+        store, record = tr.pretrain(data, bconfig, tconfig, eval_clouds=clouds(3, seed=4))
+        path = tmp_path / f"split{on}.ckpt"
+        bb.save_backbone(path, store, bconfig)
+        written.append((path.read_bytes(), [e.loss for e in record.epochs]))
+    assert written[0] == written[1]
+
+
+def run_finetune(config, seed=4):
+    bconfig = four_blocks()
+    backbone = bb.init_backbone(bconfig, 3)
+    tconfig = tr.TrainConfig(epochs=2, batch_size=4, seed=seed, learning_rate=3e-3)
+    store, _, record = tr.finetune(
+        backbone, bconfig, config, clouds(5, seed=7), tconfig, eval_clouds=clouds(3, seed=8)
+    )
+    text = "".join(ln for ln in record.to_text().splitlines(True) if not ln.startswith("wall_time_s"))
+    return store.byte_snapshot(), text
+
+
+@pytest.mark.parametrize("sharing", ["global", "per_block"])
+@pytest.mark.parametrize("method", pf.METHODS)
+def test_finetune_bytes_equal(method, sharing, monkeypatch):
+    config = pf.PeftConfig(method=method, rank=2, tokens=2, sharing=sharing)
+    split(monkeypatch, False)
+    serial = run_finetune(config)
+    split(monkeypatch, True)
+    assert run_finetune(config) == serial
+
+
+def test_split_gives_the_parent_half(monkeypatch):
+    """The forced split really splits: the parent runs the first half of
+    each batch (rounded down) and of each evaluation, the helper the rest."""
+    split(monkeypatch, True)
+    seen = {"train": 0, "eval": 0}
+    cloud_grads, confusion = tr._cloud_grads, tr._confusion
+
+    def counted_grads(*args):
+        seen["train"] += 1
+        return cloud_grads(*args)
+
+    def counted_confusion(store, attachment, prepared, *args):
+        seen["eval"] += len(prepared)
+        return confusion(store, attachment, prepared, *args)
+
+    monkeypatch.setattr(tr, "_cloud_grads", counted_grads)
+    monkeypatch.setattr(tr, "_confusion", counted_confusion)
+    run_finetune(pf.PeftConfig(method="gem", rank=2, tokens=2))
+    # per epoch: batches of 4 and 1 give the parent 2 + 1, evaluation of 3 gives 1
+    assert seen == {"train": 2 * 3, "eval": 2 * 1}
+
+
+class SpyHelper(tr._Helper):
+    made = 0
+
+    def __init__(self, *args):
+        SpyHelper.made += 1
+        super().__init__(*args)
+
+
+@pytest.mark.parametrize("method,forks", [("linear", 0), ("gem", 1)])
+def test_only_passes_with_a_block_fork(method, forks, monkeypatch):
+    if not tr._split_allowed(None, four_blocks()):
+        pytest.skip("this host allows no split (one CPU or no fork)")
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
+    SpyHelper.made = 0
+    run_finetune(pf.PeftConfig(method=method, rank=2, tokens=2))
+    assert SpyHelper.made == forks
+
+
+def first_batch(tconfig, count):
+    order = ag.named_rng(tconfig.seed, "shuffle").permutation(count)
+    return [int(i) for i in order[: tconfig.batch_size]]
+
+
+def test_unlabeled_cloud_in_helper_share_raises_in_parent(monkeypatch):
+    split(monkeypatch, True)
+    bconfig = four_blocks()
+    tconfig = tr.TrainConfig(epochs=1, batch_size=4, seed=2)
+    data = clouds(4, seed=9)
+    last = first_batch(tconfig, len(data))[-1]  # the helper's, never the parent's
+    data[last] = replace(data[last], labels=None)
+    with pytest.raises(DataError, match="training requires annotated clouds"):
+        tr.pretrain(data, bconfig, tconfig)
+
+
+def test_unlabeled_eval_cloud_in_helper_share_raises_in_parent(monkeypatch):
+    split(monkeypatch, True)
+    eval_clouds = clouds(2, seed=10)
+    eval_clouds[1] = replace(eval_clouds[1], labels=None)
+    with pytest.raises(DataError, match="evaluation requires annotated clouds"):
+        tr.finetune(
+            bb.init_backbone(four_blocks(), 3), four_blocks(), pf.PeftConfig(method="lora", rank=2),
+            clouds(2, seed=11), tr.TrainConfig(epochs=1, batch_size=2), eval_clouds=eval_clouds,
+        )
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["serial", "split"])
+def test_diverging_pretrain_raises(on, monkeypatch):
+    split(monkeypatch, on)
+    tconfig = tr.TrainConfig(
+        epochs=20, seed=8, learning_rate=1e9, optimizer="sgd_momentum",
+        weight_decay=0.0, batch_size=2,
+    )
+    with pytest.raises(NumericError):
+        tr.pretrain(clouds(4, seed=10), four_blocks(), tconfig)
+
+
+def test_parent_error_kills_a_busy_helper(monkeypatch):
+    """An exception in the parent's share ends a helper that is still
+    computing or writing its answer; nobody reads that answer."""
+    split(monkeypatch, True)
+    parent, cloud_grads = os.getpid(), tr._cloud_grads
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return cloud_grads(*args)
+
+    monkeypatch.setattr(tr, "_cloud_grads", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        tr.pretrain(clouds(4, seed=12), four_blocks(), tr.TrainConfig(epochs=1, batch_size=4))
