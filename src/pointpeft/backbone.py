@@ -34,6 +34,12 @@ def _even_stages(blocks: int, want: int = 4) -> tuple[tuple[int, int], ...]:
     return tuple((int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a)
 
 
+def parse_stages(text: str) -> tuple[tuple[int, int], ...]:
+    """Stages from their text form, `a:b` block ranges joined by commas;
+    ValueError if malformed."""
+    return tuple((int(a), int(b)) for a, b in (pair.split(":") for pair in text.split(",")))
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Shape of the toy transformer; `stages` labels contiguous block ranges."""
@@ -61,10 +67,6 @@ class BackboneConfig:
         if covered != list(range(self.blocks)):
             raise UsageError(f"stages {self.stages} do not partition [0, {self.blocks})")
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
     def stage_of(self, block: int) -> int:
         for s, (a, b) in enumerate(self.stages):
             if a <= block < b:
@@ -87,10 +89,7 @@ class BackboneConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "BackboneConfig":
         try:
-            stages = tuple(
-                (int(a), int(b))
-                for a, b in (pair.split(":") for pair in str(cfg["stages"]).split(","))
-            )
+            stages = parse_stages(str(cfg["stages"]))
             return cls(
                 d=int(cfg["d"]),
                 blocks=int(cfg["blocks"]),
@@ -260,17 +259,17 @@ class Resume(NamedTuple):
 
     At depth 0, x is the stem before the attachment's input branch, and
     `state` is what that branch reads of the embedding (the attachment's
-    `input_state`).
+    `input_state`, None for an attachment without one).
     """
 
     depth: int
     x: Tensor
-    state: object = None
+    state: object
 
 
 def _stem(
     cloud: PointCloud, nbr, attachment, store: ParamStore, config: BackboneConfig, tracer
-) -> Resume:
+) -> tuple[Tensor, object]:
     """Embedding plus positional refinement, and the input branch's state."""
     n = cloud.n
     x0 = embed(cloud, store)
@@ -280,7 +279,7 @@ def _stem(
     if tracer is not None:
         tracer.record("pos", n * 3 * config.d + n * config.d * config.d)
     state = attachment.input_state(x0, nbr) if attachment is not None else None
-    return Resume(0, x, state)
+    return x, state
 
 
 def _blocks(
@@ -295,7 +294,7 @@ def _blocks(
 ) -> Tensor:
     """Blocks start..stop-1 on the residual stream x; latent tokens start fresh."""
     n = x.shape[0]
-    latent = attachment.new_latent() if attachment is not None else None
+    latent = None
     for i in range(start, stop):
         site = f"block{i}"
         xn = layer_norm(x, store, f"backbone.{site}.ln1")
@@ -319,46 +318,28 @@ def _blocks(
     return x
 
 
-def _check_depth(depth: int, config: BackboneConfig, lowest: int = 1) -> None:
-    if not lowest <= depth <= config.blocks:
-        raise ContractError(f"prefix depth {depth} outside [{lowest}, {config.blocks}]")
+def frozen_resume(
+    cloud: PointCloud,
+    part: PatchPartition,
+    nbr: NeighborIndex | None,
+    attachment,
+    store: ParamStore,
+    config: BackboneConfig,
+) -> Resume | None:
+    """The point every pass of `attachment` can start from, with no graph.
 
-
-def stem_frozen(store: ParamStore) -> bool:
-    """Whether no parameter of the stem (embedding and positional MLP) trains."""
-    return not any(
-        name.startswith(("backbone.embed.", "backbone.pos.")) for name in store.trainable_names()
-    )
-
-
-def frozen_stem(
-    cloud: PointCloud, nbr, attachment, store: ParamStore, config: BackboneConfig
-) -> Resume:
-    """`Resume(0, x, state)` for a pass that starts at block 0, with no graph.
-
-    While `stem_frozen(store)` holds, these are bit for bit the arrays a
-    full pass computes, so `forward(..., resume=frozen_stem(...))` gives its
-    logits without recomputing the embedding, the positional encoding or
-    what the input branch reads of the embedding.
+    For k = `attachment.frozen_depth()`, the stem (with the input branch's
+    state) run through blocks 0..k-1 with no attachment.  That is bit for
+    bit what a full pass computes up to there, so `forward(..., resume=...)`
+    gives its logits.  None when nothing is frozen: no attachment, or a
+    depth of None.
     """
+    depth = attachment.frozen_depth() if attachment is not None else None
+    if depth is None:
+        return None
     with ag.no_grad():
-        return _stem(cloud, nbr, attachment, store, config, None)
-
-
-def frozen_prefix(
-    cloud: PointCloud, part: PatchPartition, store: ParamStore, config: BackboneConfig, depth: int
-) -> Tensor:
-    """The residual stream entering block `depth` of a pass with no attachment.
-
-    It stops before the `ffn_post` hook of block depth-1 and carries no
-    graph.  For an attachment that leaves the stem and blocks 0..depth-1
-    untouched, it is bit for bit what `forward` computes at that point, so
-    `forward(..., resume=(depth, prefix))` gives the full pass's logits.
-    """
-    _check_depth(depth, config)
-    with ag.no_grad():
-        x = _stem(cloud, None, None, store, config, None).x
-        return _blocks(x, part, None, store, config, 0, depth, None)
+        x, state = _stem(cloud, nbr, attachment, store, config, None)
+        return Resume(depth, _blocks(x, part, None, store, config, 0, depth, None), state)
 
 
 def forward(
@@ -369,21 +350,20 @@ def forward(
     store: ParamStore,
     config: BackboneConfig,
     tracer=None,
-    resume: tuple | None = None,
+    resume: Resume | None = None,
 ) -> ForwardResult:
     """Full pass: embed, positional refinement, B blocks, segmentation head.
 
     `attachment` is any object exposing the insertion-point hooks
-    (new_latent, input_state, input_branch, attention_mods, context_branch,
-    ffn_post), or None for the plain frozen path.  `tracer`, if given, is
-    passed to every site and hook; block i reports its output as `x` at
-    `block{i}`.
+    (input_state, input_branch, attention_mods, context_branch, ffn_post),
+    or None for the plain frozen path.  `tracer`, if given, is passed to
+    every site and hook; block i reports its output as `x` at `block{i}`.
 
-    `resume` skips work a frozen backbone repeats on every pass, and the
-    tracer then sees only the sites after it.  `resume=(k, x)`, with x from
-    `frozen_prefix(..., k)`, skips the stem and blocks 0..k-1: the pass
-    applies block k-1's `ffn_post` hook to x and goes on from block k.
-    `resume=frozen_stem(...)` skips the stem up to the input branch.
+    `resume`, from `frozen_resume`, skips work a frozen backbone repeats on
+    every pass, and the tracer then sees only the sites after it.  At depth
+    k > 0 the pass applies block k-1's `ffn_post` hook to the resumed x and
+    goes on from block k; at depth 0 it adds the input branch, computed from
+    the resumed state, to the resumed stem.
     """
     n = cloud.n
     if part.n != n:
@@ -392,10 +372,12 @@ def forward(
         raise ContractError(f"neighbor index covers {nbr.num_points} points, cloud has {n}")
 
     if resume is None:
-        start, x, state = _stem(cloud, nbr, attachment, store, config, tracer)
+        start = 0
+        x, state = _stem(cloud, nbr, attachment, store, config, tracer)
     else:
-        start, x, state = Resume(*resume)
-        _check_depth(start, config, lowest=0)
+        start, x, state = resume
+        if not 0 <= start <= config.blocks:
+            raise ContractError(f"resume depth {start} outside [0, {config.blocks}]")
         if x.shape != (n, config.d):
             raise ContractError(f"resumed residual has shape {x.shape}, expected {(n, config.d)}")
     if attachment is not None and start == 0:

@@ -133,14 +133,11 @@ def _print_hash(h: str) -> None:
     print(f"config hash: {h}")
 
 
-def _parse_stages(text: str):
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        a, b = part.strip().split(":")
-        out.append((int(a), int(b)))
-    return tuple(out)
+def _parse(parse, text: str, flag: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"{flag} {text!r} is malformed") from None
 
 
 def _bconfig_from_args(args) -> bb.BackboneConfig:
@@ -152,7 +149,7 @@ def _bconfig_from_args(args) -> bb.BackboneConfig:
         ffn_mult=args.ffn_mult,
         num_classes=args.classes,
         voxel_size=args.voxel_size,
-        stages=_parse_stages(args.stages),
+        stages=_parse(bb.parse_stages, args.stages, "--stages") if args.stages else (),
     )
 
 
@@ -169,15 +166,12 @@ def _tconfig_from_args(args) -> tr.TrainConfig:
 
 
 def _pconfig_from_args(args) -> pf.PeftConfig:
-    blocks = ()
-    if args.insert_blocks != "all":
-        blocks = tuple(int(b) for b in args.insert_blocks.split(","))
     return pf.PeftConfig(
         method=args.method,
         rank=args.rank,
         tokens=args.tokens,
         sharing=args.sharing,
-        blocks=blocks,
+        blocks=_parse(pf.parse_blocks, args.insert_blocks, "--insert-blocks"),
     )
 
 

@@ -178,10 +178,6 @@ class NeighborIndex:
     def num_voxels(self) -> int:
         return len(self.voxel_points)
 
-    @property
-    def center_slot(self) -> int:
-        return self.offsets.shape[0] // 2
-
     def slot(self, offset) -> int:
         half = self.k // 2
         dx, dy, dz = (int(v) + half for v in offset)

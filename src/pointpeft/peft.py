@@ -45,6 +45,12 @@ DEFAULT_TOKENS = 4
 TOKENS_PER_RANK = 4 / 32
 
 
+def parse_blocks(text: str) -> tuple[int, ...]:
+    """Insertion blocks from their text form: "all" (as ()) or block ids
+    joined by commas; ValueError if malformed."""
+    return () if text == "all" else tuple(int(v) for v in text.split(","))
+
+
 @dataclass(frozen=True)
 class PeftConfig:
     """Which method to attach and its capacity knobs."""
@@ -86,8 +92,7 @@ class PeftConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "PeftConfig":
         try:
-            raw = str(cfg.get("insertion_blocks", "all"))
-            blocks = () if raw == "all" else tuple(int(v) for v in raw.split(","))
+            blocks = parse_blocks(str(cfg.get("insertion_blocks", "all")))
             return cls(
                 method=str(cfg["method"]),
                 rank=int(cfg["rank"]),
@@ -106,15 +111,6 @@ class PeftConfig:
     @property
     def has_context(self) -> bool:
         return self.method in ("gem", "gem_ca_only")
-
-
-@dataclass
-class LatentState:
-    """Per-forward latent token state; never survives across forward passes."""
-
-    L: Tensor
-    sharing: str
-    stage: int | None = None
 
 
 def bitfit_select(store: ParamStore) -> None:
@@ -137,30 +133,27 @@ class PeftAttachment:
         self.store = store
         self._blocks = set(config.active_blocks(bconfig.blocks))
 
-    def frozen_depth(self) -> int:
-        """Block k such that every pass resumes at k from `backbone.frozen_prefix`.
+    def frozen_depth(self) -> int | None:
+        """Block k such that every pass resumes at k from `backbone.frozen_resume`,
+        or None when the stem trains, so that no pass can resume.
 
         Linear probing leaves every block alone.  An adapter acts first at
         the `ffn_post` hook of its first block, which a resumed pass applies
         before block k, so that block counts as frozen too.  LoRA, prompts
-        and the context adapter act inside their first block.  BitFit trains
-        backbone biases and the spatial adapter feeds the stem, so no block
-        is frozen for them (nor for `gem`, which carries the spatial adapter).
+        and the context adapter act inside their first block.  The spatial
+        adapter adds its branch to the input of block 0, so only the stem is
+        frozen for it (and for `gem`, which carries it).  BitFit trains the
+        stem's own biases, so nothing is: None.
         """
         method = self.config.method
+        if method == "bitfit":
+            return None
         if method == "linear":
             return self.bconfig.blocks
-        if method in ("bitfit", "gem", "gem_sa_only"):
+        if method in ("gem", "gem_sa_only"):
             return 0
         first = min(self._blocks)
         return first + 1 if method == "adapter" else first
-
-    # -- latent tokens ------------------------------------------------------
-
-    def new_latent(self) -> LatentState | None:
-        if not self.config.has_context:
-            return None
-        return LatentState(L=self.store["peft.ca.latent"], sharing=self.config.sharing)
 
     # -- insertion hooks ----------------------------------------------------
 
@@ -207,12 +200,21 @@ class PeftAttachment:
             )
         return None
 
-    def context_branch(self, xn: Tensor, block: int, latent, tracer=None):
+    def context_branch(self, xn: Tensor, block: int, latent: Tensor | None, tracer=None):
+        """The context adapter's branch at `block` and the latent tokens it
+        leaves.  `latent` is what the pass's last insertion block left, None
+        before the first; the sharing mode says whether this block starts
+        from it or from the stored latent."""
         if not self.config.has_context or block not in self._blocks:
             return None, latent
-        if latent is None:
-            raise ContractError("context adapter forward started without latent state")
-        return context_adapter_branch(xn, latent, self.store, block, self.bconfig, tracer=tracer)
+        sharing = self.config.sharing
+        if sharing == "per_stage":
+            first, _ = self.bconfig.stages[self.bconfig.stage_of(block)]
+            fresh = not any(first <= b < block for b in self._blocks)
+        else:
+            fresh = sharing == "per_block"
+        L_in = self.store["peft.ca.latent"] if latent is None or fresh else latent
+        return context_adapter_branch(xn, L_in, self.store, block, tracer=tracer)
 
     def ffn_post(self, x: Tensor, block: int, tracer=None) -> Tensor:
         if self.config.method != "adapter" or block not in self._blocks:
@@ -265,21 +267,16 @@ def spatial_adapter_branch(
 
 
 def context_adapter_branch(
-    x: Tensor,
-    latent: LatentState,
-    store: ParamStore,
-    block: int,
-    bconfig: BackboneConfig,
-    tracer=None,
-) -> tuple[Tensor, LatentState]:
+    x: Tensor, L_in: Tensor, store: ParamStore, block: int, tracer=None
+) -> tuple[Tensor, Tensor]:
     """Two-stage latent attention (no residual on the point path).
 
-    Stage 1: m latent tokens query all n down-projected points.  Stage 2: all
-    points query the contextualized tokens, and the result is up-projected.
-    The latent state update follows the sharing mode.  A tracer sees the
-    stage-1 weights (m, n) with the incoming tokens `L_in` and their update
-    `L_c` at `block{i}.ca.stage1`, and the stage-2 weights (n, m) at
-    `block{i}.ca.stage2`.
+    Stage 1: the m incoming latent tokens `L_in` query all n down-projected
+    points, giving their update `L_c`.  Stage 2: all points query the
+    contextualized tokens, and the result is up-projected.  Returns the
+    branch and the outgoing tokens `L_in + L_c`.  A tracer sees the stage-1
+    weights (m, n) with `L_in` and `L_c` at `block{i}.ca.stage1`, and the
+    stage-2 weights (n, m) at `block{i}.ca.stage2`.
     """
     n, d = x.shape
     pre = f"peft.block{block}.ca"
@@ -287,15 +284,8 @@ def context_adapter_branch(
     wq, wk, wv = store[f"{pre}.wq"], store[f"{pre}.wk"], store[f"{pre}.wv"]
     up = store[f"{pre}.up"]
     r = q_down.shape[1]
-    if latent.L.shape[1] != r:
-        raise ContractError(f"latent width {latent.L.shape[1]} does not match rank {r}")
-
-    if latent.sharing == "per_block":
-        L_in = store["peft.ca.latent"]
-    elif latent.sharing == "per_stage" and latent.stage != bconfig.stage_of(block):
-        L_in = store["peft.ca.latent"]
-    else:
-        L_in = latent.L
+    if L_in.shape[1] != r:
+        raise ContractError(f"latent width {L_in.shape[1]} does not match rank {r}")
     m = L_in.shape[0]
 
     scale = 1.0 / math.sqrt(r)
@@ -315,8 +305,7 @@ def context_adapter_branch(
             f"{site}.stage2", 2 * m * r * r + 2 * n * m * r + n * r * d, weights=stage2
         )
 
-    stage = bconfig.stage_of(block)
-    return branch, LatentState(L=ag.add(L_in, L_c), sharing=latent.sharing, stage=stage)
+    return branch, ag.add(L_in, L_c)
 
 
 # ---------------------------------------------------------------------------

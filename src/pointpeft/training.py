@@ -333,27 +333,12 @@ class RunRecord:
 # evaluation and the shared epoch loop
 
 
-def frozen_prefixes(
-    store: ParamStore, attachment, prepared: list[Prepared], bconfig: bb.BackboneConfig
-) -> list[tuple | None]:
-    """Per cloud, the `resume` point its forwards start from: `(k, x)` with
-    x the residual entering the attachment's first non-frozen block k; else,
-    if the stem trains nothing, the stem from `backbone.frozen_stem`; else
-    None, a full pass."""
-    depth = 0 if attachment is None else attachment.frozen_depth()
-    if depth > 0:
-        return [(depth, bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, depth)) for pc in prepared]
-    if attachment is not None and bb.stem_frozen(store):
-        return [bb.frozen_stem(pc.cloud, pc.nbr, attachment, store, bconfig) for pc in prepared]
-    return [None] * len(prepared)
-
-
 def _confusion(
     store: ParamStore,
     attachment,
     prepared: list[Prepared],
     bconfig: bb.BackboneConfig,
-    resume: list[tuple | None],
+    resume: list[bb.Resume | None],
 ) -> ConfusionMatrix:
     cm = ConfusionMatrix(bconfig.num_classes)
     with ag.no_grad():
@@ -370,12 +355,12 @@ def evaluate(
     attachment,
     prepared: list[Prepared],
     bconfig: bb.BackboneConfig,
-    resume: list[tuple | None] | None = None,
+    resume: list[bb.Resume | None] | None = None,
     helper: _Helper | None = None,
 ) -> dict[str, float]:
     """Confusion-matrix metrics accumulated over the whole split.
 
-    `resume`, from `frozen_prefixes` on the same split, lets each forward
+    `resume`, from `backbone.frozen_resume` on the same split, lets each forward
     skip the frozen work.  `helper` is set only by the training loop, whose
     forked helper then evaluates the second half of the split."""
     resume = resume or [None] * len(prepared)
@@ -392,7 +377,7 @@ def _cloud_grads(
     store: ParamStore,
     attachment,
     pc: Prepared,
-    start: tuple | None,
+    start: bb.Resume | None,
     bconfig: bb.BackboneConfig,
     scale: float,
     epoch: int,
@@ -425,7 +410,7 @@ def _split_allowed(attachment, bconfig: bb.BackboneConfig) -> bool:
         and (cpus or 1) >= 2
         and "fork" in multiprocessing.get_all_start_methods()
         and threading.active_count() == 1
-        and (attachment is None or attachment.frozen_depth() < bconfig.blocks)
+        and (attachment is None or attachment.frozen_depth() != bconfig.blocks)
     )
 
 
@@ -553,13 +538,14 @@ def _run_epochs(
     state = OptState(tconfig)
     shuffle_rng = named_rng(tconfig.seed, "shuffle")
     t0 = time.perf_counter()
-    # Held for this run only: the prefixes are valid while the backbone is frozen.
-    resume = frozen_prefixes(store, attachment, prepared, bconfig)
-    eval_resume = (
-        resume
-        if eval_prepared is prepared
-        else frozen_prefixes(store, attachment, eval_prepared, bconfig)
-    )
+    # Held for this run only: the resume points are valid while the backbone is frozen.
+    def resume_points(split: list[Prepared]) -> list[bb.Resume | None]:
+        return [
+            bb.frozen_resume(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig) for pc in split
+        ]
+
+    resume = resume_points(prepared)
+    eval_resume = resume if eval_prepared is prepared else resume_points(eval_prepared)
     splits = [(prepared, resume), (eval_prepared, eval_resume)]
     parallel = _split_allowed(attachment, bconfig)
     helper = _Helper(store, attachment, bconfig, splits, tconfig.batch_size) if parallel else None

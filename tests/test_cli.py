@@ -134,6 +134,13 @@ class TestPretrain:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_stages_is_usage_error(self, ws, tmp_path, capsys):
+        code = cli.main(["pretrain", "--data", str(ws["src"]),
+                         "--out", str(tmp_path / "x.ckpt"), *BACKBONE_FLAGS,
+                         "--stages", "abc", "--epochs", "1"])
+        assert code == 1
+        assert "--stages 'abc'" in capsys.readouterr().err
+
 
 class TestFinetune:
     def test_metrics_csv_artifact(self, ws):
@@ -155,6 +162,13 @@ class TestFinetune:
         assert cli.main(["finetune", "--backbone", str(ws["bb"]), "--method",
                          "magic", "--data", str(ws["tgt"]),
                          "--out", str(tmp_path / "x.ckpt")]) == 1
+
+    def test_malformed_insert_blocks_is_usage_error(self, ws, tmp_path, capsys):
+        code = cli.main(["finetune", "--backbone", str(ws["bb"]), "--method", "lora",
+                         "--insert-blocks", "x", "--data", str(ws["tgt"]),
+                         "--epochs", "1", "--out", str(tmp_path / "x.ckpt")])
+        assert code == 1
+        assert "--insert-blocks 'x'" in capsys.readouterr().err
 
 
 class TestEval:

@@ -1,10 +1,10 @@
 """Resuming forwards from a cached frozen prefix changes no result.
 
-A fine-tune computes each cloud's frozen prefix once (`frozen_depth`
-blocks) and starts every later forward from it; where no block is frozen
-but the stem is, it caches the stem instead.  The oracle is the same run
-with the cache turned off, by making `frozen_prefixes` return no resume
-points.
+A fine-tune computes each cloud's resume point once (the stem and
+`frozen_depth` blocks, with `backbone.frozen_resume`) and starts every
+later forward from it; where the stem trains, the depth is None and every
+pass is a full one.  The oracle is the same run with the cache turned off,
+by making `frozen_resume` return None.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ def perturbed_attachment(config, bconfig, seed=0):
 
 EXPECTED_DEPTH = {
     ("linear", ()): 4, ("linear", (2, 3)): 4,
-    ("bitfit", ()): 0, ("bitfit", (2, 3)): 0,
+    ("bitfit", ()): None, ("bitfit", (2, 3)): None,
     ("adapter", ()): 1, ("adapter", (2, 3)): 3,
     ("lora", ()): 0, ("lora", (2, 3)): 2,
     ("prompt", ()): 0, ("prompt", (2, 3)): 2,
@@ -60,7 +60,7 @@ def test_frozen_depth(method, blocks):
 
 
 @pytest.mark.parametrize(
-    "method,blocks", [key for key, depth in sorted(EXPECTED_DEPTH.items()) if depth > 0]
+    "method,blocks", [key for key, depth in sorted(EXPECTED_DEPTH.items()) if depth]
 )
 def test_resumed_logits_equal_full_pass(method, blocks):
     bconfig = four_blocks()
@@ -69,11 +69,10 @@ def test_resumed_logits_equal_full_pass(method, blocks):
     depth = attachment.frozen_depth()
     for pc in tr.prepare(clouds(2, seed=5), bconfig):
         full = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
-        prefix = bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, depth)
-        assert not prefix.requires_grad and prefix._parents == ()
-        resumed = bb.forward(
-            pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=(depth, prefix)
-        )
+        resume = bb.frozen_resume(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
+        assert resume.depth == depth
+        assert not resume.x.requires_grad and resume.x._parents == ()
+        resumed = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=resume)
         assert resumed.logits.data.tobytes() == full.logits.data.tobytes()
 
 
@@ -81,10 +80,11 @@ def test_resumed_logits_equal_full_pass(method, blocks):
 def test_stem_resumed_logits_equal_full_pass(method):
     bconfig = four_blocks()
     store, attachment = perturbed_attachment(pf.PeftConfig(method=method, rank=2, tokens=2), bconfig)
-    assert bb.stem_frozen(store)
+    assert attachment.frozen_depth() is not None
+    attachment.frozen_depth = lambda: 0  # every method with a frozen stem may resume at block 0
     for pc in tr.prepare(clouds(2, seed=5), bconfig, need_neighbors=True):
         full = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
-        stem = bb.frozen_stem(pc.cloud, pc.nbr, attachment, store, bconfig)
+        stem = bb.frozen_resume(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
         assert stem.depth == 0 and not stem.x.requires_grad
         assert (stem.state is None) != (method in ("gem", "gem_sa_only"))
         resumed = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=stem)
@@ -92,21 +92,24 @@ def test_stem_resumed_logits_equal_full_pass(method):
 
 
 def test_bitfit_trains_the_stem():
-    store, _ = perturbed_attachment(pf.PeftConfig(method="bitfit"), four_blocks())
-    assert not bb.stem_frozen(store)
+    bconfig = four_blocks()
+    store, attachment = perturbed_attachment(pf.PeftConfig(method="bitfit"), bconfig)
+    assert attachment.frozen_depth() is None
+    pc = tr.prepare(clouds(1, seed=6), bconfig)[0]
+    assert bb.frozen_resume(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig) is None
 
 
 def test_resume_rejects_bad_depth_and_shape():
     bconfig = four_blocks()
-    store = bb.init_backbone(bconfig, 3)
+    store, attachment = perturbed_attachment(pf.PeftConfig(method="lora", blocks=(2, 3)), bconfig)
     pc = tr.prepare(clouds(1, seed=6), bconfig)[0]
-    with pytest.raises(ContractError):
-        bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, 0)
-    with pytest.raises(ContractError):
-        bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, bconfig.blocks + 1)
-    prefix = bb.frozen_prefix(pc.cloud, pc.part, store, bconfig, 2)
-    with pytest.raises(ContractError):
-        bb.forward(pc.cloud, pc.part, None, None, store, bconfig, resume=(2, prefix.data[:-1]))
+    resume = bb.frozen_resume(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig)
+    assert resume.depth == 2
+    bad = [resume._replace(depth=-1), resume._replace(depth=bconfig.blocks + 1)]
+    bad.append(resume._replace(x=resume.x.data[:-1]))
+    for wrong in bad:
+        with pytest.raises(ContractError):
+            bb.forward(pc.cloud, pc.part, None, None, store, bconfig, resume=wrong)
 
 
 def run_finetune(config, eval_split, seed=4):
@@ -136,7 +139,7 @@ CASES = [
 @pytest.mark.parametrize("config", CASES, ids=lambda c: f"{c.method}-{c.sharing}-{c.blocks}")
 def test_finetune_matches_uncached_run(config, eval_split, monkeypatch):
     cached = run_finetune(config, eval_split)
-    monkeypatch.setattr(tr, "frozen_prefixes", lambda store, attachment, prepared, bconfig: [None] * len(prepared))
+    monkeypatch.setattr(bb, "frozen_resume", lambda *args: None)
     uncached = run_finetune(config, eval_split)
     assert cached[1] == uncached[1]
     assert cached[0] == uncached[0]

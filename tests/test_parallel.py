@@ -111,7 +111,7 @@ class SpyHelper(tr._Helper):
         super().__init__(*args)
 
 
-@pytest.mark.parametrize("method,forks", [("linear", 0), ("gem", 1)])
+@pytest.mark.parametrize("method,forks", [("linear", 0), ("gem", 1), ("bitfit", 1)])
 def test_only_passes_with_a_block_fork(method, forks, monkeypatch):
     if not tr._split_allowed(None, four_blocks()):
         pytest.skip("this host allows no split (one CPU or no fork)")

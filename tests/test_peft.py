@@ -354,6 +354,25 @@ class TestSharingModes:
                     trace[i][0], trace[i - 1][0] + trace[i - 1][1], atol=1e-15
                 )
 
+    def test_per_stage_with_insertion_blocks_skipping_a_stage_start(self):
+        """Blocks 0, 1 and 3 on stages [0, 2) and [2, 4): block 3 has no
+        earlier insertion block in its stage, so it starts afresh."""
+        bconfig, store, _, attachment = attached_model(
+            "gem_ca_only", small_config(stages=((0, 2), (2, 4))), seed=18,
+            rank=4, tokens=2, sharing="per_stage", blocks=(0, 1, 3),
+        )
+        tracer = OpCounter()
+        run(rand_cloud(np.random.default_rng(18), 12), bconfig, store, attachment, tracer=tracer)
+        L0 = store["peft.ca.latent"].data
+        seen = {i: tracer.arrays[f"block{i}.ca.stage1"] for i in (0, 1, 3)}
+        assert "block2.ca.stage1" not in tracer.arrays
+        np.testing.assert_array_equal(seen[0]["L_in"], L0)
+        np.testing.assert_array_equal(seen[3]["L_in"], L0)
+        np.testing.assert_allclose(
+            seen[1]["L_in"], seen[0]["L_in"] + seen[0]["L_c"], atol=1e-15
+        )
+        assert np.abs(seen[1]["L_in"] - L0).max() > 0
+
 
 class TestAttach:
     def test_linear_trains_head_only(self):
