@@ -75,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default="")
+    p.add_argument("--record", default="", help="write the run record here")
     _backbone_flags(p)
     _train_flags(p, epochs=50)
     p.set_defaults(func=_cmd_pretrain)
@@ -84,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default="")
+    p.add_argument("--record", default="", help="write the run record here")
     p.add_argument("--data-fraction", type=float, default=1.0)
     _peft_flags(p)
     _train_flags(p, epochs=40)
@@ -180,6 +182,14 @@ def _write_artifact(path, body: str, command: str, config_hash: str) -> None:
         fh.write(f"# cmd: {command}\n# hash: {config_hash}\n{body}")
 
 
+def _write_records(args, record: tr.RunRecord, command: str) -> None:
+    """The `--metrics` CSV and the `--record` text, where asked for."""
+    if args.metrics:
+        _write_artifact(args.metrics, record.metrics_csv(), command, record.config_hash)
+    if args.record:
+        _write_artifact(args.record, record.to_text(), command, record.config_hash)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -198,8 +208,7 @@ def _cmd_pretrain(args, command: str) -> int:
     tconfig = _tconfig_from_args(args)
     store, record = tr.pretrain(clouds, bconfig, tconfig, command=command)
     bb.save_backbone(args.out, store, bconfig, command=command)
-    if args.metrics:
-        _write_artifact(args.metrics, record.metrics_csv(), command, record.config_hash)
+    _write_records(args, record, command)
     _print_hash(record.config_hash)
     last = record.epochs[-1]
     print(f"final: loss {last.loss:.4f} miou {last.miou:.4f} allacc {last.allacc:.4f}")
@@ -216,8 +225,7 @@ def _cmd_finetune(args, command: str) -> int:
         data_fraction=args.data_fraction, command=command,
     )
     pf.save_peft(args.out, store, pconfig, bconfig, command=command)
-    if args.metrics:
-        _write_artifact(args.metrics, record.metrics_csv(), command, record.config_hash)
+    _write_records(args, record, command)
     _print_hash(record.config_hash)
     last = record.epochs[-1]
     print(

@@ -84,7 +84,9 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 
 class OptState:
-    """Per-parameter optimizer slots; strict mode flags grads on frozen params."""
+    """Optimizer state for every trainable scalar as one flat vector, laid out
+    in `store.trainable_items()` order when the first step binds it; strict
+    mode flags grads on frozen params."""
 
     ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
     SGD_MOMENTUM = 0.9
@@ -93,44 +95,77 @@ class OptState:
         self.config = config
         self.strict = strict
         self.t = 0
-        self.slots: dict[str, dict[str, Array]] = {}
+        self.layout: list[tuple[str, tuple[int, ...]]] | None = None
 
-    def slot(self, name: str, tensor: Tensor) -> dict[str, Array]:
-        if name not in self.slots:
-            if self.config.optimizer == "adamw":
-                self.slots[name] = {
-                    "m": np.zeros_like(tensor.data),
-                    "v": np.zeros_like(tensor.data),
-                }
-            else:
-                self.slots[name] = {"vel": np.zeros_like(tensor.data)}
-        return self.slots[name]
+    def bind(self, items: list[tuple[str, Tensor]]) -> None:
+        """Allocate the flat buffers on the first step; later steps must
+        bring the same names and shapes."""
+        layout = [(name, t.shape) for name, t in items]
+        if self.layout is not None:
+            if layout != self.layout:
+                raise ContractError("the trainable parameters changed between optimizer steps")
+            return
+        self.layout = layout
+        size = sum(t.numel for _, t in items)
+        if self.config.optimizer == "adamw":
+            self.m, self.v = np.zeros(size), np.zeros(size)
+        else:
+            self.vel = np.zeros(size)
+        # w and g gather the parameters and gradients; s is scratch.
+        self.w, self.g, self.s = np.zeros(size), np.zeros(size), np.zeros(size)
+        ends = np.cumsum([t.numel for _, t in items], dtype=int)
+        self.views = [
+            self.w[e - t.numel : e].reshape(t.shape) for (_, t), e in zip(items, ends)
+        ]
 
 
 def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
-    """Apply one update to every non-frozen parameter, then zero all grads."""
+    """Apply one update to every non-frozen parameter, then zero all grads.
+
+    After the freeze check, the parameters and gradients (zeros for a None
+    grad) are gathered into `state`'s flat vectors, updated there in place
+    and written back into each `t.data`.  Every operation is elementwise and
+    in the per-tensor formula's order, so the bytes do not depend on the
+    layout."""
     config = state.config
     lr = config.learning_rate if lr is None else lr
     if state.strict:
         for name, t in store.items():
             if store.frozen(name) and t.grad is not None:
                 raise FreezeViolation(f"gradient populated on frozen parameter {name}")
+    items = store.trainable_items()
+    state.bind(items)
     state.t += 1
-    for name, t in store.trainable_items():
-        g = t.grad
-        if g is None:
-            g = np.zeros_like(t.data)
-        slot = state.slot(name, t)
+    if items:
+        w, g, s = state.w, state.g, state.s
+        np.concatenate([t.data.ravel() for _, t in items], out=w)
+        np.concatenate(
+            [np.zeros(t.numel) if t.grad is None else t.grad.ravel() for _, t in items], out=g
+        )
         if config.optimizer == "adamw":
-            b1, b2, eps = state.ADAM_B1, state.ADAM_B2, state.ADAM_EPS
-            slot["m"] = b1 * slot["m"] + (1 - b1) * g
-            slot["v"] = b2 * slot["v"] + (1 - b2) * g * g
-            mhat = slot["m"] / (1 - b1**state.t)
-            vhat = slot["v"] / (1 - b2**state.t)
-            t.data -= lr * (mhat / (np.sqrt(vhat) + eps) + config.weight_decay * t.data)
+            b1, b2, eps, m, v = state.ADAM_B1, state.ADAM_B2, state.ADAM_EPS, state.m, state.v
+            m *= b1  # m = b1 * m + (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=s)
+            np.multiply(g, 1 - b2, out=s)  # v = b2 * v + (1 - b2) * g * g
+            s *= g
+            v *= b2
+            v += s
+            np.divide(v, 1 - b2**state.t, out=g)  # g = sqrt(vhat) + eps
+            np.sqrt(g, out=g)
+            g += eps
+            np.divide(m, 1 - b1**state.t, out=s)  # s = mhat / g + wd * w
+            s /= g
+            s += np.multiply(w, config.weight_decay, out=g)
+            s *= lr
         else:
-            slot["vel"] = state.SGD_MOMENTUM * slot["vel"] + g + config.weight_decay * t.data
-            t.data -= lr * slot["vel"]
+            vel = state.vel  # vel = momentum * vel + g + wd * w
+            vel *= state.SGD_MOMENTUM
+            vel += g
+            vel += np.multiply(w, config.weight_decay, out=g)
+            np.multiply(vel, lr, out=s)
+        w -= s
+        for (_, t), view in zip(items, state.views):
+            t.data[...] = view
     store.zero_grads()
 
 
@@ -299,6 +334,7 @@ class RunRecord:
     total: int = 0
     wall_time: float = 0.0
     subset_seed: int | None = None
+    running_metrics: bool = False  # see `_run_epochs`
     epochs: list[EpochStats] = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -313,6 +349,11 @@ class RunRecord:
         ]
         if self.subset_seed is not None:
             lines.append(f"subset_seed = {self.subset_seed}")
+        if self.running_metrics:
+            source = "training forwards, before each step; last epoch evaluated after its last step"
+        else:
+            source = "eval split, evaluated after each epoch's last step"
+        lines.append(f"epoch_metrics = {source}")
         for e in self.epochs:
             lines.append(
                 f"epoch {e.epoch} loss {e.loss!r} miou {e.miou!r} "
@@ -381,12 +422,16 @@ def _cloud_grads(
     bconfig: bb.BackboneConfig,
     scale: float,
     epoch: int,
+    cm: ConfusionMatrix | None = None,
 ) -> tuple[float, dict[str, Array]]:
     """One cloud's loss and the gradient of `scale` times it, by parameter
-    name; the store is left with no gradients."""
+    name; the store is left with no gradients.  `cm`, if given, also counts
+    the forward's predictions."""
     if pc.cloud.labels is None:
         raise DataError("training requires annotated clouds")
     out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=start)
+    if cm is not None:
+        cm.update(out.logits.data.argmax(axis=1), pc.cloud.labels)
     loss = cross_entropy(out.logits, pc.cloud.labels)
     value = loss.item()
     if not np.isfinite(value):
@@ -478,13 +523,15 @@ class _Helper:
             raise answer
         return answer
 
-    def batch_reply(self) -> list[tuple[float, dict[str, Array]]]:
-        """Each of the helper's clouds' loss and gradients, as `_cloud_grads`."""
+    def batch_reply(self) -> tuple[list[tuple[float, dict[str, Array]]], ConfusionMatrix | None]:
+        """Each of the helper's clouds' loss and gradients, as `_cloud_grads`,
+        and the matrix of its share's predictions if the request asked."""
+        clouds, cm = self.reply()
         out = []
-        for row, (value, present, rest) in zip(self.rows[1:], self.reply()):
+        for row, (value, present, rest) in zip(self.rows[1:], clouds):
             grads = {self.names[j]: row[j].copy() for j in present}
             out.append((value, {**grads, **rest}))
-        return out
+        return out, cm
 
     def _serve(self, conn) -> None:
         """The helper's loop; it ends when the parent closes its end or dies."""
@@ -501,16 +548,18 @@ class _Helper:
             prepared, resume = self.splits[split]
             try:
                 if kind == "batch":
-                    indices, scale, epoch = args
-                    answer = []
+                    indices, scale, epoch, count = args
+                    cm = ConfusionMatrix(bconfig.num_classes) if count else None
+                    clouds = []
                     for row, i in zip(self.rows[1:], indices):
                         value, grads = _cloud_grads(
-                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch
+                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm
                         )
                         present = [j for j, name in enumerate(self.names) if name in grads]
                         for j in present:
                             row[j][...] = grads.pop(self.names[j])
-                        answer.append((value, present, grads))
+                        clouds.append((value, present, grads))
+                    answer = (clouds, cm)
                 else:
                     (lo,) = args
                     answer = _confusion(store, attachment, prepared[lo:], bconfig, resume[lo:])
@@ -534,8 +583,16 @@ def _run_epochs(
     record: RunRecord,
 ) -> None:
     """Every batch sums its clouds' gradients in batch order, each computed
-    on its own, so a batch split with the helper gives the serial bytes."""
+    on its own, so a batch split with the helper gives the serial bytes.
+
+    Each epoch's metrics come from `evaluate` on `eval_prepared` after the
+    epoch's last step, unless `eval_prepared is prepared` (no eval split was
+    passed): then every epoch but the last counts the training forwards'
+    own predictions, made before each batch's step, in one confusion matrix
+    over the split, and only the last epoch calls `evaluate`."""
     state = OptState(tconfig)
+    running = eval_prepared is prepared
+    record.running_metrics = running
     shuffle_rng = named_rng(tconfig.seed, "shuffle")
     t0 = time.perf_counter()
     # Held for this run only: the resume points are valid while the backbone is frozen.
@@ -554,27 +611,36 @@ def _run_epochs(
             lr = lr_at(tconfig, epoch)
             order = shuffle_rng.permutation(len(prepared))
             losses = []
+            cm = None  # counts this epoch's training predictions
+            if running and epoch < tconfig.epochs - 1:
+                cm = ConfusionMatrix(bconfig.num_classes)
             for start in range(0, len(order), tconfig.batch_size):
                 chunk = [int(i) for i in order[start : start + tconfig.batch_size]]
                 scale = 1.0 / len(chunk)
                 mine = _parent_share(len(chunk), helper)
                 if mine < len(chunk):
-                    helper.request("batch", 0, chunk[mine:], scale, epoch)
+                    helper.request("batch", 0, chunk[mine:], scale, epoch, cm is not None)
                 total: dict[str, Array] = {}
                 for i in chunk[:mine]:
                     value, grads = _cloud_grads(
-                        store, attachment, prepared[i], resume[i], bconfig, scale, epoch
+                        store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm
                     )
                     losses.append(value)
                     _add_grads(total, grads)
                 if mine < len(chunk):
-                    for value, grads in helper.batch_reply():
+                    answers, helper_cm = helper.batch_reply()
+                    for value, grads in answers:
                         losses.append(value)
                         _add_grads(total, grads)
+                    if cm is not None:
+                        cm.merge(helper_cm)
                 for name, g in total.items():
                     store[name].grad = g
                 step(store, state, lr)
-            metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume, helper)
+            if cm is not None:
+                metrics = cm.metrics()
+            else:
+                metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume, helper)
             record.epochs.append(
                 EpochStats(epoch=epoch, loss=float(np.mean(losses)), **metrics)
             )

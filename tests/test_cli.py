@@ -126,6 +126,21 @@ class TestPretrain:
             outs.append(out.read_bytes().split(b"\n", 1)[1])  # drop cmd line diffs
         assert outs[0] == outs[1]
 
+    def test_record_artifact(self, ws, tmp_path, capsys):
+        record, csv = tmp_path / "run.txt", tmp_path / "run.csv"
+        assert cli.main(["pretrain", "--data", str(ws["src"]), "--out", str(tmp_path / "r.ckpt"),
+                         *BACKBONE_FLAGS, "--epochs", "2", "--batch-size", "4", "--seed", "3",
+                         "--record", str(record), "--metrics", str(csv)]) == 0
+        config_hash = capsys.readouterr().out.split("config hash: ")[1].split()[0]
+        lines = record.read_text().splitlines()
+        assert lines[0].startswith("# cmd: pointpeft pretrain ") and "--record" in lines[0]
+        assert lines[1:5] == ["# hash: " + config_hash, "run-record", "kind = pretrain",
+                              "config_hash = " + config_hash]
+        assert lines[-3].startswith("epoch_metrics = training forwards, before each step")
+        # "epoch 0 loss .. miou .. macc .. allacc ..": the CSV row's values
+        rows = [row.split(",") for row in csv.read_text().splitlines()[3:]]
+        assert [ln.split()[1::2] for ln in lines[-2:]] == rows
+
     def test_divergence_exits_three(self, ws, tmp_path, capsys):
         code = cli.main(["pretrain", "--data", str(ws["src"]),
                          "--out", str(tmp_path / "x.ckpt"), *BACKBONE_FLAGS,

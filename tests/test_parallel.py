@@ -60,6 +60,27 @@ def test_pretrain_checkpoint_bytes_equal(monkeypatch, tmp_path):
     assert written[0] == written[1]
 
 
+def record_text(record):
+    lines = record.to_text().splitlines(True)
+    return "".join(ln for ln in lines if not ln.startswith("wall_time_s"))
+
+
+def test_pretrain_without_eval_split_bytes_equal(monkeypatch, tmp_path):
+    """Without an eval split the helper counts its share of each batch's
+    predictions; the record and checkpoint match the serial run's."""
+    bconfig = four_blocks()
+    tconfig = tr.TrainConfig(epochs=3, batch_size=3, seed=5, learning_rate=1e-2)
+    data = clouds(7, seed=3)
+    written = []
+    for on in (False, True):
+        split(monkeypatch, on)
+        store, record = tr.pretrain(data, bconfig, tconfig)
+        path = tmp_path / f"split{on}.ckpt"
+        bb.save_backbone(path, store, bconfig)
+        written.append((path.read_bytes(), record_text(record)))
+    assert written[0] == written[1]
+
+
 def run_finetune(config, seed=4):
     bconfig = four_blocks()
     backbone = bb.init_backbone(bconfig, 3)
@@ -67,8 +88,7 @@ def run_finetune(config, seed=4):
     store, _, record = tr.finetune(
         backbone, bconfig, config, clouds(5, seed=7), tconfig, eval_clouds=clouds(3, seed=8)
     )
-    text = "".join(ln for ln in record.to_text().splitlines(True) if not ln.startswith("wall_time_s"))
-    return store.byte_snapshot(), text
+    return store.byte_snapshot(), record_text(record)
 
 
 @pytest.mark.parametrize("sharing", ["global", "per_block"])

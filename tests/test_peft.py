@@ -320,9 +320,9 @@ class TestContextAdapter:
 
 
 class TestSharingModes:
-    def trace_for(self, sharing, seed=17):
+    def trace_for(self, sharing, seed=17, bconfig=None):
         bconfig, store, _, attachment = attached_model(
-            "gem_ca_only", seed=seed, rank=4, tokens=2, sharing=sharing
+            "gem_ca_only", bconfig, seed=seed, rank=4, tokens=2, sharing=sharing
         )
         cloud = rand_cloud(np.random.default_rng(seed), 12)
         tracer = OpCounter()
@@ -344,7 +344,8 @@ class TestSharingModes:
         assert np.abs(trace[1][0] - L0).max() > 0
 
     def test_per_stage_resets_at_boundaries(self):
-        L0, trace, bconfig = self.trace_for("per_stage")
+        stages = small_config(stages=((0, 2), (2, 4)))
+        L0, trace, bconfig = self.trace_for("per_stage", bconfig=stages)
         for i in range(bconfig.blocks):
             first_of_stage = any(i == a for a, _ in bconfig.stages)
             if first_of_stage:
@@ -353,6 +354,7 @@ class TestSharingModes:
                 np.testing.assert_allclose(
                     trace[i][0], trace[i - 1][0] + trace[i - 1][1], atol=1e-15
                 )
+        assert np.abs(trace[3][0] - L0).max() > 0  # block 3 carries block 2's latent
 
     def test_per_stage_with_insertion_blocks_skipping_a_stage_start(self):
         """Blocks 0, 1 and 3 on stages [0, 2) and [2, 4): block 3 has no

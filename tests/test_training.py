@@ -6,7 +6,7 @@ from pointpeft import backbone as bb
 from pointpeft import geometry as geo
 from pointpeft import peft
 from pointpeft import training as tr
-from pointpeft.errors import DataError, FreezeViolation, NumericError, UsageError
+from pointpeft.errors import ContractError, DataError, FreezeViolation, NumericError, UsageError
 
 
 def tiny_backbone(**kw):
@@ -22,7 +22,38 @@ def tiny_dataset(count=4, seed=0, ppc=16):
     return tr.generate_dataset(tr.source_spec(points_per_class=ppc), count, seed)
 
 
+def per_tensor_steps(params, grads, config, lrs):
+    """The optimizer's formula applied tensor by tensor: the reference the
+    flat step must match bit for bit."""
+    params = {n: a.copy() for n, a in params.items()}
+    slots = {n: [np.zeros_like(a), np.zeros_like(a)] for n, a in params.items()}
+    b1, b2, eps = tr.OptState.ADAM_B1, tr.OptState.ADAM_B2, tr.OptState.ADAM_EPS
+    for t, (step_grads, lr) in enumerate(zip(grads, lrs), start=1):
+        for name, data in params.items():
+            g = step_grads.get(name)
+            g = np.zeros_like(data) if g is None else g
+            m, v = slots[name]
+            if config.optimizer == "adamw":
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                mhat, vhat = m / (1 - b1**t), v / (1 - b2**t)
+                data -= lr * (mhat / (np.sqrt(vhat) + eps) + config.weight_decay * data)
+            else:
+                m = tr.OptState.SGD_MOMENTUM * m + g + config.weight_decay * data
+                data -= lr * m
+            slots[name] = [m, v]
+    return params
+
+
 class TestStep:
+    SHAPES = {"a": (30, 40), "frozen": (2,), "b": (50,), "c": (6, 7, 8), "d": (1,)}
+
+    def make_store(self, rng):
+        store = ag.ParamStore()
+        for name, shape in self.SHAPES.items():
+            store.add(name, rng.normal(size=shape), frozen=name == "frozen")
+        return store
+
     def test_sgd_one_step(self):
         store = ag.ParamStore()
         w = store.add("w", np.array([1.0]))
@@ -40,19 +71,24 @@ class TestStep:
         assert abs(w.data[0] - 0.5) == pytest.approx(1e-3, rel=1e-6)
 
     def test_frozen_param_with_injected_grad_flagged(self):
-        store = ag.ParamStore()
-        w = store.add("w", np.array([1.0]), frozen=True)
-        w.grad = np.array([1.0])
+        """Before any parameter, trainable or not, moves."""
+        store = self.make_store(np.random.default_rng(1))
+        before = store.byte_snapshot()
+        for _, t in store.items():
+            t.grad = np.ones_like(t.data)
         state = tr.OptState(tr.TrainConfig())
         with pytest.raises(FreezeViolation):
             tr.step(store, state)
-        assert w.data[0] == 1.0
+        assert store.byte_snapshot() == before and state.t == 0
 
     def test_non_strict_ignores_injected_grad(self):
+        """With no trainable parameter every step is a no-op."""
         store = ag.ParamStore()
         w = store.add("w", np.array([1.0]), frozen=True)
-        w.grad = np.array([1.0])
-        tr.step(store, tr.OptState(tr.TrainConfig(), strict=False))
+        state = tr.OptState(tr.TrainConfig(), strict=False)
+        for _ in range(2):
+            w.grad = np.array([1.0])
+            tr.step(store, state)
         assert w.data[0] == 1.0
 
     def test_grads_zeroed_after_step(self):
@@ -69,6 +105,43 @@ class TestStep:
         config = tr.TrainConfig(optimizer="adamw", learning_rate=0.1, weight_decay=0.5)
         tr.step(store, tr.OptState(config))
         assert w.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("optimizer", tr.OPTIMIZERS)
+    def test_matches_per_tensor_formula(self, optimizer):
+        rng = np.random.default_rng(0)
+        store = self.make_store(rng)
+        config = tr.TrainConfig(optimizer=optimizer, learning_rate=0.5, weight_decay=0.1)
+        lrs = [0.5, 0.4, np.float64(0.3), 0.2, 0.1, 0.05]
+        grads = [
+            # "d" never gets a gradient, "b" only on some steps
+            {n: rng.normal(size=shape) for n, shape in self.SHAPES.items()
+             if n not in ("frozen", "d") and (n != "b" or k % 2)}
+            for k in range(len(lrs))
+        ]
+        d0 = store["d"].data.copy()
+        want = per_tensor_steps(
+            {n: t.data for n, t in store.trainable_items()}, grads, config, lrs
+        )
+        state = tr.OptState(config)
+        for step_grads, lr in zip(grads, lrs):
+            for name, g in step_grads.items():
+                store[name].grad = g.copy()
+            tr.step(store, state, lr)
+        for name, data in want.items():
+            assert store[name].data.tobytes() == data.tobytes(), name
+        assert store["d"].data != d0  # weight decay moves it without a gradient
+
+    def test_changed_layout_rejected(self):
+        store = self.make_store(np.random.default_rng(2))
+        state = tr.OptState(tr.TrainConfig())
+        tr.step(store, state)
+        store.set_frozen("b", True)
+        with pytest.raises(ContractError):
+            tr.step(store, state)
+        store.set_frozen("b", False)
+        store.add("e", np.zeros(3))
+        with pytest.raises(ContractError):
+            tr.step(store, state)
 
 
 class TestSchedule:
@@ -237,6 +310,73 @@ class TestPretrain:
         )
         with pytest.raises(NumericError):
             tr.pretrain(tiny_dataset(2, seed=10), bconfig, tconfig)
+
+
+def scores(e: tr.EpochStats):
+    return e.miou, e.macc, e.allacc
+
+
+class TestRunningMetrics:
+    """Without an eval split, the epochs before the last count the training
+    forwards' own predictions; passing the training clouds as an eval split
+    evaluates every epoch instead, so that run is the oracle."""
+
+    EPOCHS = 4
+
+    def runs(self, batch_size):
+        bconfig = tiny_backbone()
+        tconfig = tr.TrainConfig(
+            epochs=self.EPOCHS, seed=21, batch_size=batch_size, learning_rate=1e-2
+        )
+        clouds = tiny_dataset(3, seed=22)
+        running = tr.pretrain(clouds, bconfig, tconfig)
+        every = tr.pretrain(clouds, bconfig, tconfig, eval_clouds=clouds)
+        return bconfig, tconfig, clouds, running, every
+
+    def test_one_batch_epochs_score_the_weights_before_their_step(self):
+        bconfig, tconfig, clouds, (_, running), (_, every) = self.runs(batch_size=4)
+        init = tr.evaluate(
+            bb.init_backbone(bconfig, tconfig.seed), None, tr.prepare(clouds, bconfig), bconfig
+        )
+        assert scores(running.epochs[0]) == (init["miou"], init["macc"], init["allacc"])
+        for e in range(1, self.EPOCHS - 1):
+            assert scores(running.epochs[e]) == scores(every.epochs[e - 1])
+        assert len({scores(e) for e in every.epochs}) > 1  # the weights did move
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_losses_last_metrics_and_checkpoint_unchanged(self, batch_size, tmp_path):
+        bconfig, _, _, (store_r, running), (store_e, every) = self.runs(batch_size)
+        assert [e.loss for e in running.epochs] == [e.loss for e in every.epochs]
+        assert running.epochs[-1] == every.epochs[-1]
+        paths = tmp_path / "running.ckpt", tmp_path / "every.ckpt"
+        for path, store in zip(paths, (store_r, store_e)):
+            bb.save_backbone(path, store, bconfig)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_evaluate_runs_once_without_an_eval_split(self, monkeypatch):
+        calls, evaluate = [], tr.evaluate
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return evaluate(*args, **kw)
+
+        monkeypatch.setattr(tr, "evaluate", counted)
+        bconfig, clouds = tiny_backbone(), tiny_dataset(3, seed=23)
+        tconfig = tr.TrainConfig(epochs=self.EPOCHS, seed=24, batch_size=2)
+        tr.pretrain(clouds, bconfig, tconfig)
+        assert len(calls) == 1
+        tr.pretrain(clouds, bconfig, tconfig, eval_clouds=clouds)
+        assert len(calls) == 1 + self.EPOCHS
+        tr.finetune(
+            bb.init_backbone(bconfig, 25), bconfig, peft.PeftConfig(method="lora", rank=2),
+            clouds, tconfig,
+        )
+        assert len(calls) == 2 + self.EPOCHS
+
+    def test_record_says_where_the_metrics_come_from(self):
+        *_, (_, running), (_, every) = self.runs(batch_size=2)
+        assert "\nepoch_metrics = training forwards, before each step; " in running.to_text()
+        assert "\nepoch_metrics = eval split, " in every.to_text()
 
 
 class TestFinetune:
