@@ -581,12 +581,19 @@ def stencil(vox, neighbors, kernels) -> Tensor:
     `vox` is (V, r); `neighbors` (V, S) holds voxel ids, -1 for an empty
     slot, which contributes nothing.  The S gathered rows sit side by side,
     (V, S*r), times the S kernels (r, o) stacked in slot order, (S*r, o).
+
+    The backward requires a symmetric relation: slot s of voxel v holds u
+    exactly when slot S-1-s of u holds v.  `geometry.build_neighbor_index`
+    gives that, since `stencil_offsets` is in base-k order and slot S-1-s is
+    the negated offset.  Voxel u's gradient, the sum of g[v] @ kernels[s].T
+    over every (v, s) whose slot holds u, is then the sum over u's own
+    slots s of g[neighbors[u, s]] @ kernels[S-1-s].T: the forward's gather,
+    of g, times the transposed kernels stacked in mirrored slot order.
     """
     vox = _wrap(vox)
     kernels = tuple(_wrap(kern) for kern in kernels)
     flat = np.asarray(neighbors, dtype=np.int64).ravel()
     num_voxels, r = vox.data.shape
-    empty = flat < 0
     gathered = _take_rows(vox.data, flat).reshape(num_voxels, -1)
     stacked = np.concatenate([kern.data for kern in kernels])
     if stacked.shape[0] != gathered.shape[1]:
@@ -595,10 +602,8 @@ def stencil(vox, neighbors, kernels) -> Tensor:
 
     def bwd(g: Array) -> None:
         if vox.requires_grad:
-            spread = (g @ stacked.T).reshape(-1, r)
-            gv = np.zeros_like(vox.data)
-            np.add.at(gv, flat[~empty], spread[~empty])
-            _accum(vox, gv)
+            mirrored = np.concatenate([kern.data.T for kern in reversed(kernels)])
+            _accum(vox, _take_rows(g, flat).reshape(num_voxels, -1) @ mirrored)
         gk = gathered.T @ g
         for s, kern in enumerate(kernels):
             if kern.requires_grad:

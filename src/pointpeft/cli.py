@@ -13,6 +13,7 @@ import argparse
 import itertools
 import shlex
 import sys
+import time
 
 from . import autograd as ag
 from . import backbone as bb
@@ -247,10 +248,14 @@ def _cmd_eval(args, command: str) -> int:
         cfg = bconfig.to_dict()
     clouds = tr.load_dataset(args.data)
     prepared = tr.prepare(clouds, bconfig, need_neighbors=need_nbr)
+    t0 = time.perf_counter()
     metrics = tr.evaluate(store, attachment, prepared, bconfig)
+    wall = time.perf_counter() - t0
     _print_hash(ag.config_hash(cfg))
     for key in ("miou", "macc", "allacc"):
         print(f"{key} = {metrics[key]!r}")
+    print(f"wall_time_s = {wall:.3f}")  # the evaluation alone, after loading and preparing
+    print(f"points_per_s = {sum(c.n for c in clouds) / wall:.1f}")
     return 0
 
 
@@ -401,15 +406,16 @@ def _cmd_sweep(args, command: str) -> int:
                 f"{pconfig.method},{pconfig.rank},{pconfig.tokens},"
                 f"{pconfig.sharing},{tconfig.seed}"
             )
+            t0 = time.perf_counter()
+            miou = "nan"
             try:
                 _store, _att, record = tr.finetune(
                     bstore, bconfig, pconfig, clouds, tconfig,
                     data_fraction=fraction, command=command,
                 )
                 last = record.epochs[-1]
-                lines.append(
-                    f"{prefix},{pct!r},{last.miou!r},{last.macc!r},{last.allacc!r}"
-                )
+                miou = repr(last.miou)
+                lines.append(f"{prefix},{pct!r},{miou},{last.macc!r},{last.allacc!r}")
             except PointPeftError as exc:
                 lines.append(f"{prefix},{pct!r},nan,nan,nan")
                 lines.append(f"# cell {prefix} failed: {exc}")
@@ -418,6 +424,8 @@ def _cmd_sweep(args, command: str) -> int:
                 lines.append(f"{prefix},{pct!r},nan,nan,nan")
                 lines.append(f"# cell {prefix} failed: {exc}")
                 worst = max(worst, 2)
+            wall = time.perf_counter() - t0
+            print(f"cell {prefix}: miou {miou} in {wall:.3f} s", file=sys.stderr)
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _print_hash(lines[1].removeprefix("# hash: "))

@@ -119,29 +119,42 @@ class OptState:
         ]
 
 
-def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
+def _check_frozen_grads(store: ParamStore) -> None:
+    for name, t in store.items():
+        if store.frozen(name) and t.grad is not None:
+            raise FreezeViolation(f"gradient populated on frozen parameter {name}")
+
+
+def _flat_grads(items: list[tuple[str, Tensor]], out: Array) -> None:
+    """The gradients of `items` side by side in `out`, zeros for a None grad."""
+    grads = [np.zeros(t.numel) if t.grad is None else t.grad.ravel() for _, t in items]
+    np.concatenate(grads, out=out)
+
+
+def step(
+    store: ParamStore, state: OptState, lr: float | None = None, gathered: bool = False
+) -> None:
     """Apply one update to every non-frozen parameter, then zero all grads.
 
     After the freeze check, the parameters and gradients (zeros for a None
     grad) are gathered into `state`'s flat vectors, updated there in place
-    and written back into each `t.data`.  Every operation is elementwise and
+    and written back into each `t.data`.  With `gathered`, `state.g`
+    already holds the gradients (the training loop sums each batch there)
+    and no trainable `t.grad` is read.  Every operation is elementwise and
     in the per-tensor formula's order, so the bytes do not depend on the
     layout."""
     config = state.config
     lr = config.learning_rate if lr is None else lr
     if state.strict:
-        for name, t in store.items():
-            if store.frozen(name) and t.grad is not None:
-                raise FreezeViolation(f"gradient populated on frozen parameter {name}")
+        _check_frozen_grads(store)
     items = store.trainable_items()
     state.bind(items)
     state.t += 1
     if items:
         w, g, s = state.w, state.g, state.s
         np.concatenate([t.data.ravel() for _, t in items], out=w)
-        np.concatenate(
-            [np.zeros(t.numel) if t.grad is None else t.grad.ravel() for _, t in items], out=g
-        )
+        if not gathered:
+            _flat_grads(items, g)
         if config.optimizer == "adamw":
             b1, b2, eps, m, v = state.ADAM_B1, state.ADAM_B2, state.ADAM_EPS, state.m, state.v
             m *= b1  # m = b1 * m + (1 - b1) * g
@@ -398,19 +411,34 @@ def evaluate(
     bconfig: bb.BackboneConfig,
     resume: list[bb.Resume | None] | None = None,
     helper: _Helper | None = None,
+    last: bool = False,
 ) -> dict[str, float]:
     """Confusion-matrix metrics accumulated over the whole split.
 
-    `resume`, from `backbone.frozen_resume` on the same split, lets each forward
-    skip the frozen work.  `helper` is set only by the training loop, whose
-    forked helper then evaluates the second half of the split."""
+    `resume`, from `backbone.frozen_resume` on the same split, lets each
+    forward skip the frozen work.  The training loop passes those and its
+    forked helper, which then evaluates the second half of the split;
+    `last` marks the helper's last request, after which it exits.  Called
+    on its own (no `resume`, no `helper`) with two clouds or more,
+    `evaluate` forks a helper for the call where `_split_allowed` holds,
+    and its one request is the helper's last."""
+    own = (
+        resume is None
+        and helper is None
+        and len(prepared) >= 2
+        # with no resume point a pass runs every block, as the plain backbone's does
+        and _split_allowed(None, bconfig)
+    )
     resume = resume or [None] * len(prepared)
-    mine = _parent_share(len(prepared), helper)
-    if mine < len(prepared):
-        helper.request("eval", helper.split_of(prepared), mine)
-    cm = _confusion(store, attachment, prepared[:mine], bconfig, resume[:mine])
-    if mine < len(prepared):
-        cm.merge(helper.reply())
+    if own:
+        helper = _Helper(store, attachment, bconfig, [(prepared, resume)], 0)
+    with helper if own else nullcontext():
+        mine = _parent_share(len(prepared), helper)
+        if mine < len(prepared):
+            helper.request("eval", helper.split_of(prepared), mine, last=last or own)
+        cm = _confusion(store, attachment, prepared[:mine], bconfig, resume[:mine])
+        if mine < len(prepared):
+            cm.merge(helper.reply())
     return cm.metrics()
 
 
@@ -422,11 +450,14 @@ def _cloud_grads(
     bconfig: bb.BackboneConfig,
     scale: float,
     epoch: int,
-    cm: ConfusionMatrix | None = None,
-) -> tuple[float, dict[str, Array]]:
-    """One cloud's loss and the gradient of `scale` times it, by parameter
-    name; the store is left with no gradients.  `cm`, if given, also counts
-    the forward's predictions."""
+    cm: ConfusionMatrix | None,
+    flat: Array,
+) -> float:
+    """One cloud's loss.  The gradient of `scale` times it goes into `flat`,
+    flat in `store.trainable_items()` order (the layout `OptState` binds);
+    a gradient on a frozen parameter raises, as `step`'s strict check would.
+    The store is left with no gradients.  `cm`, if given, also counts the
+    forward's predictions."""
     if pc.cloud.labels is None:
         raise DataError("training requires annotated clouds")
     out = bb.forward(pc.cloud, pc.part, pc.nbr, attachment, store, bconfig, resume=start)
@@ -437,16 +468,18 @@ def _cloud_grads(
     if not np.isfinite(value):
         raise NumericError(f"loss diverged to {value} at epoch {epoch}")
     ag.backward(ag.mul(loss, scale))
-    grads = {name: t.grad for name, t in store.items() if t.grad is not None}
+    _check_frozen_grads(store)
+    _flat_grads(store.trainable_items(), flat)
     store.zero_grads()
-    return value, grads
+    return value
 
 
 def _split_allowed(attachment, bconfig: bb.BackboneConfig) -> bool:
-    """Whether `_run_epochs` forks a helper: two usable CPUs, the `fork`
-    start method, no other Python thread (a fork copies locks other threads
-    may hold), one BLAS thread per process (`pointpeft/__init__.py`) and a
-    pass that runs at least one block."""
+    """Whether a pass may fork a helper: two usable CPUs, the `fork` start
+    method, no other Python thread (a fork copies locks other threads may
+    hold), one BLAS thread per process (`pointpeft/__init__.py`) and a pass
+    that runs at least one block (`attachment` None stands for a pass that
+    runs them all)."""
     from . import _one_blas_thread
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -465,30 +498,30 @@ def _parent_share(count: int, helper: _Helper | None) -> int:
 
 
 class _Helper:
-    """A forked copy of the training process that runs the second half of
-    every batch and every per-epoch evaluation of one `_run_epochs` call.
+    """A forked copy of the process that runs the second half of every
+    batch and every evaluation of one `_run_epochs` or `evaluate` call.
 
     Arrays travel through memory both processes map: row 0 holds the
     parent's trainable arrays, written before every request, and row k + 1
-    the gradients of the helper's k-th cloud of a batch.  The pipe carries
-    only the requests and the small rest of each answer (losses, which
-    gradients exist, gradients on any other parameter, a confusion matrix)
-    or the exception the helper's share raised, which `reply` raises here.
+    the flat gradient of the helper's k-th cloud of a batch.  The pipe
+    carries only the requests and the small rest of each answer (losses, a
+    confusion matrix) or the exception the helper's share raised, which
+    `reply` raises here.  The helper exits after answering a request marked
+    `last`, or when the parent closes its end or dies.
     """
 
     def __init__(self, store, attachment, bconfig, splits, batch_size: int):
         self.store, self.attachment, self.bconfig, self.splits = store, attachment, bconfig, splits
-        self.names = store.trainable_names()
-        self.trainable = [store[name] for name in self.names]
+        self.trainable = [t for _, t in store.trainable_items()]
         sizes = [t.data.size for t in self.trainable]
         rows = 1 + batch_size - _parent_share(batch_size, self)
         self.shared = mmap.mmap(-1, 8 * max(1, rows * sum(sizes)))  # anonymous, shared on fork
-        flat = np.frombuffer(self.shared, np.float64, rows * sum(sizes))
-        ends = np.cumsum(sizes)
-        self.rows = [
-            [r[e - n : e].reshape(t.shape) for t, n, e in zip(self.trainable, sizes, ends)]
-            for r in flat.reshape(rows, -1)
+        flat = np.frombuffer(self.shared, np.float64, rows * sum(sizes)).reshape(rows, -1)
+        ends = np.cumsum(sizes, dtype=int)
+        self.params = [
+            flat[0, e - n : e].reshape(t.shape) for t, n, e in zip(self.trainable, sizes, ends)
         ]
+        self.grads = flat[1:]
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=self._serve, args=(child,), daemon=True)
@@ -499,8 +532,9 @@ class _Helper:
         return self
 
     def __exit__(self, exc_type, *_) -> None:
-        """Closing the pipe ends the helper; after an exception it is killed
-        instead, since it may be blocked writing an answer nobody reads."""
+        """Closing the pipe ends a helper still waiting for requests; after
+        an exception it is killed instead, since it may be blocked writing
+        an answer nobody reads."""
         if exc_type is not None:
             self.proc.kill()
         self.conn.close()
@@ -509,10 +543,10 @@ class _Helper:
     def split_of(self, prepared: list[Prepared]) -> int:
         return next(i for i, (p, _) in enumerate(self.splits) if p is prepared)
 
-    def request(self, *message) -> None:
-        for view, t in zip(self.rows[0], self.trainable):
+    def request(self, kind: str, split: int, *args, last: bool = False) -> None:
+        for view, t in zip(self.params, self.trainable):
             view[...] = t.data
-        self.conn.send(message)
+        self.conn.send((kind, split, last, *args))
 
     def reply(self):
         try:
@@ -523,54 +557,39 @@ class _Helper:
             raise answer
         return answer
 
-    def batch_reply(self) -> tuple[list[tuple[float, dict[str, Array]]], ConfusionMatrix | None]:
-        """Each of the helper's clouds' loss and gradients, as `_cloud_grads`,
-        and the matrix of its share's predictions if the request asked."""
-        clouds, cm = self.reply()
-        out = []
-        for row, (value, present, rest) in zip(self.rows[1:], clouds):
-            grads = {self.names[j]: row[j].copy() for j in present}
-            out.append((value, {**grads, **rest}))
-        return out, cm
-
     def _serve(self, conn) -> None:
-        """The helper's loop; it ends when the parent closes its end or dies."""
+        """The helper's loop; it ends after a `last` request's answer, or
+        when the parent closes its end or dies."""
         self.conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
         store, attachment, bconfig = self.store, self.attachment, self.bconfig
-        while True:
+        last = False
+        while not last:
             try:
-                kind, split, *args = conn.recv()
+                kind, split, last, *args = conn.recv()
             except EOFError:
                 return
-            for view, t in zip(self.rows[0], self.trainable):
+            for view, t in zip(self.params, self.trainable):
                 t.data[...] = view
             prepared, resume = self.splits[split]
             try:
                 if kind == "batch":
                     indices, scale, epoch, count = args
                     cm = ConfusionMatrix(bconfig.num_classes) if count else None
-                    clouds = []
-                    for row, i in zip(self.rows[1:], indices):
-                        value, grads = _cloud_grads(
-                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm
+                    values = [
+                        _cloud_grads(
+                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm,
+                            row,
                         )
-                        present = [j for j, name in enumerate(self.names) if name in grads]
-                        for j in present:
-                            row[j][...] = grads.pop(self.names[j])
-                        clouds.append((value, present, grads))
-                    answer = (clouds, cm)
+                        for row, i in zip(self.grads, indices)
+                    ]
+                    answer = (values, cm)
                 else:
                     (lo,) = args
                     answer = _confusion(store, attachment, prepared[lo:], bconfig, resume[lo:])
             except Exception as exc:
                 answer = exc
             conn.send(answer)
-
-
-def _add_grads(total: dict[str, Array], grads: dict[str, Array]) -> None:
-    for name, g in grads.items():
-        total[name] = g if name not in total else total[name] + g
 
 
 def _run_epochs(
@@ -582,15 +601,19 @@ def _run_epochs(
     tconfig: TrainConfig,
     record: RunRecord,
 ) -> None:
-    """Every batch sums its clouds' gradients in batch order, each computed
-    on its own, so a batch split with the helper gives the serial bytes.
+    """Every batch sums its clouds' flat gradients in batch order into the
+    optimizer's gradient vector, each computed on its own, so a batch split
+    with the helper gives the serial bytes.
 
     Each epoch's metrics come from `evaluate` on `eval_prepared` after the
     epoch's last step, unless `eval_prepared is prepared` (no eval split was
     passed): then every epoch but the last counts the training forwards'
     own predictions, made before each batch's step, in one confusion matrix
-    over the split, and only the last epoch calls `evaluate`."""
+    over the split, and only the last epoch calls `evaluate`.  That last
+    evaluation is the helper's last request."""
     state = OptState(tconfig)
+    state.bind(store.trainable_items())
+    later = np.empty_like(state.g)  # the gradient of a batch's second and later clouds
     running = eval_prepared is prepared
     record.running_metrics = running
     shuffle_rng = named_rng(tconfig.seed, "shuffle")
@@ -611,8 +634,9 @@ def _run_epochs(
             lr = lr_at(tconfig, epoch)
             order = shuffle_rng.permutation(len(prepared))
             losses = []
+            last_epoch = epoch == tconfig.epochs - 1
             cm = None  # counts this epoch's training predictions
-            if running and epoch < tconfig.epochs - 1:
+            if running and not last_epoch:
                 cm = ConfusionMatrix(bconfig.num_classes)
             for start in range(0, len(order), tconfig.batch_size):
                 chunk = [int(i) for i in order[start : start + tconfig.batch_size]]
@@ -620,27 +644,30 @@ def _run_epochs(
                 mine = _parent_share(len(chunk), helper)
                 if mine < len(chunk):
                     helper.request("batch", 0, chunk[mine:], scale, epoch, cm is not None)
-                total: dict[str, Array] = {}
-                for i in chunk[:mine]:
-                    value, grads = _cloud_grads(
-                        store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm
+                for k, i in enumerate(chunk[:mine]):
+                    flat = later if k else state.g
+                    losses.append(
+                        _cloud_grads(
+                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm,
+                            flat,
+                        )
                     )
-                    losses.append(value)
-                    _add_grads(total, grads)
+                    if k:
+                        state.g += later
                 if mine < len(chunk):
-                    answers, helper_cm = helper.batch_reply()
-                    for value, grads in answers:
+                    values, helper_cm = helper.reply()
+                    for value, row in zip(values, helper.grads):
                         losses.append(value)
-                        _add_grads(total, grads)
+                        state.g += row
                     if cm is not None:
                         cm.merge(helper_cm)
-                for name, g in total.items():
-                    store[name].grad = g
-                step(store, state, lr)
+                step(store, state, lr, gathered=True)
             if cm is not None:
                 metrics = cm.metrics()
             else:
-                metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume, helper)
+                metrics = evaluate(
+                    store, attachment, eval_prepared, bconfig, eval_resume, helper, last=last_epoch
+                )
             record.epochs.append(
                 EpochStats(epoch=epoch, loss=float(np.mean(losses)), **metrics)
             )

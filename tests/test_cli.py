@@ -200,6 +200,14 @@ class TestEval:
                          "--data", str(ws["src"])]) == 0
         assert "allacc = " in capsys.readouterr().out
 
+    def test_eval_reports_time_and_throughput(self, ws, capsys):
+        assert cli.main(["eval", "--backbone", str(ws["bb"]), "--peft",
+                         str(ws["gem"]), "--data", str(ws["tgt"])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = dict(ln.split(" = ") for ln in lines if " = " in ln)
+        assert list(values)[-2:] == ["wall_time_s", "points_per_s"]  # after the metrics
+        assert float(values["wall_time_s"]) > 0.0 and float(values["points_per_s"]) > 0.0
+
     def test_mismatched_backbone_hash_exits_two(self, ws, tmp_path, capsys):
         other = tmp_path / "other.ckpt"
         assert cli.main(["pretrain", "--data", str(ws["src"]), "--out", str(other),
@@ -338,7 +346,13 @@ class TestSweep:
             assert 0.0 < float(row[5]) < 100.0
             for v in row[6:]:
                 assert 0.0 <= float(v) <= 1.0
-        assert "config hash: " in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "config hash: " in captured.out
+        # one progress line per finished cell, in row order
+        progress = captured.err.splitlines()
+        assert [ln.split(":")[0] for ln in progress] == [f"cell {','.join(r[:5])}" for r in rows]
+        for ln, row in zip(progress, rows):
+            assert f": miou {row[6]} in " in ln and ln.endswith(" s")
 
     @pytest.mark.parametrize(
         "key,value",

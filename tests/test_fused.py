@@ -3,9 +3,9 @@
 Each oracle is the multi-step composition the fused op replaces, written
 out in numpy: the seven-step layer norm, the two-layer perceptron, the
 projections plus split-heads patch attention chain, the two-matmul latent
-attention and the 27-term stencil loop.  The short-row kernels (softmax,
-its gradient and the layer norm's row means) are checked against the
-per-row numpy reductions they replace.
+attention, the 27-term stencil loop and its backward's scatter.  The
+short-row kernels (softmax, its gradient and the layer norm's row means)
+are checked against the per-row numpy reductions they replace.
 """
 
 import math
@@ -100,6 +100,15 @@ def stencil_oracle(vox, neighbors, kernels):
         rows = np.where((neighbors[:, s] >= 0)[:, None], vox[neighbors[:, s]], 0.0)
         acc = acc + rows @ kern
     return acc
+
+
+def stencil_vox_grad_oracle(g, neighbors, kernels, num_voxels):
+    """Scatter each voxel's output gradient back through every filled slot."""
+    spread = np.stack([g @ kern.T for kern in kernels], axis=1).reshape(-1, kernels[0].shape[0])
+    flat = neighbors.ravel()
+    gv = np.zeros((num_voxels, kernels[0].shape[0]))
+    np.add.at(gv, flat[flat >= 0], spread[flat >= 0])
+    return gv
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +445,16 @@ class TestStencil:
         got = ag.stencil(vox, nbr.neighbor_voxels, kernels).data
         want = stencil_oracle(vox.data, nbr.neighbor_voxels, [t.data for t in kernels])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_vox_gradient_matches_scatter(self, seed):
+        rng = np.random.default_rng(seed)
+        nbr, vox, kernels = stencil_case(rng, r=3, out=4)
+        assert (nbr.neighbor_voxels < 0).any() and (nbr.neighbor_voxels[:, :13] >= 0).any()
+        g = rng.normal(size=(nbr.num_voxels, 4))
+        ag.backward(ag.tsum(ag.mul(ag.stencil(vox, nbr.neighbor_voxels, kernels), g)))
+        want = stencil_vox_grad_oracle(g, nbr.neighbor_voxels, [t.data for t in kernels], nbr.num_voxels)
+        np.testing.assert_allclose(vox.grad, want, rtol=0, atol=1e-12)
 
     def test_central_differences(self):
         rng = np.random.default_rng(15)

@@ -209,6 +209,26 @@ class TestNeighborIndex:
         assert nbr.neighbor_voxels.dtype == np.int64
         np.testing.assert_array_equal(nbr.neighbor_voxels, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        grid=st.booleans(),
+        voxel=st.sampled_from([0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slots_are_mirrored(self, n, grid, voxel, seed):
+        """Slot s of v holds u exactly when slot 26 - s of u holds v, which
+        `autograd.stencil`'s backward relies on."""
+        rng = np.random.default_rng(seed)
+        if grid:
+            coords = (rng.integers(-3, 3, (n, 3)) + 0.5) * voxel
+        else:
+            coords = rng.uniform(-1.0, 1.0, (n, 3))
+        nv = geo.build_neighbor_index(make_cloud(coords), voxel).neighbor_voxels
+        v, s = np.nonzero(nv >= 0)
+        np.testing.assert_array_equal(nv[nv[v, s], 26 - s], v)
+        np.testing.assert_array_equal(geo.stencil_offsets(3)[26 - s], -geo.stencil_offsets(3)[s])
+
     def test_neighbor_count_bound(self):
         rng = np.random.default_rng(5)
         cloud = make_cloud(rng.uniform(0, 2, (150, 3)))

@@ -1,9 +1,10 @@
 """Splitting each batch and evaluation with a forked helper changes no result.
 
-`training._run_epochs` forks one helper per call where `_split_allowed`
-says so.  These tests force the split on or off through that seam and
-compare the bytes of both runs, then check that no helper outlives a
-`pretrain` or `finetune` call, whether it returns or raises.
+`training._run_epochs`, and `training.evaluate` called on its own, fork one
+helper per call where `_split_allowed` says so.  These tests force the split
+on or off through that seam and compare the bytes of both runs, then check
+that no helper outlives a `pretrain`, `finetune` or `evaluate` call, whether
+it returns or raises.
 """
 
 import multiprocessing
@@ -139,6 +140,128 @@ def test_only_passes_with_a_block_fork(method, forks, monkeypatch):
     SpyHelper.made = 0
     run_finetune(pf.PeftConfig(method=method, rank=2, tokens=2))
     assert SpyHelper.made == forks
+
+
+# ---------------------------------------------------------------------------
+# evaluate called on its own
+
+
+def tuned(method):
+    """A fine-tuned store and attachment (or the plain backbone) and its config."""
+    bconfig = four_blocks()
+    backbone = bb.init_backbone(bconfig, 3)
+    if method is None:
+        return backbone, None, None, bconfig
+    config = pf.PeftConfig(method=method, rank=2, tokens=2)
+    tconfig = tr.TrainConfig(epochs=1, batch_size=4, seed=4, learning_rate=3e-3)
+    store, attachment, _ = tr.finetune(backbone, bconfig, config, clouds(4, seed=7), tconfig)
+    return store, attachment, config, bconfig
+
+
+def held_out(count, config, bconfig, seed=13):
+    need = config is not None and config.has_spatial
+    return tr.prepare(clouds(count, seed), bconfig, need_neighbors=need)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("method", [None, *pf.METHODS])
+def test_evaluate_split_equals_serial(method, count, monkeypatch):
+    store, attachment, config, bconfig = tuned(method)
+    prepared = held_out(count, config, bconfig)
+    split(monkeypatch, False)
+    serial = tr.evaluate(store, attachment, prepared, bconfig)
+    split(monkeypatch, True)
+    assert tr.evaluate(store, attachment, prepared, bconfig) == serial
+
+
+@pytest.mark.parametrize("count,forks", [(1, 0), (2, 1), (3, 1)])
+def test_evaluate_forks_one_helper_from_two_clouds(count, forks, monkeypatch):
+    split(monkeypatch, True)
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
+    SpyHelper.made = 0
+    store, _, _, bconfig = tuned(None)
+    tr.evaluate(store, None, held_out(count, None, bconfig), bconfig)
+    assert SpyHelper.made == forks
+
+
+def test_standalone_linear_evaluate_forks(monkeypatch):
+    """With no resume point the pass runs every block, so `linear` splits
+    here although its fine-tunes stay serial."""
+    if not tr._split_allowed(None, four_blocks()):
+        pytest.skip("this host allows no split (one CPU or no fork)")
+    store, attachment, config, bconfig = tuned("linear")
+    prepared = held_out(4, config, bconfig)
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
+    SpyHelper.made = 0
+    tr.evaluate(store, attachment, prepared, bconfig)
+    assert SpyHelper.made == 1
+
+
+def test_evaluate_split_gives_the_parent_half(monkeypatch):
+    split(monkeypatch, True)
+    seen, confusion = [], tr._confusion
+
+    def counted_confusion(store, attachment, prepared, *args):
+        seen.append(len(prepared))
+        return confusion(store, attachment, prepared, *args)
+
+    monkeypatch.setattr(tr, "_confusion", counted_confusion)
+    store, _, _, bconfig = tuned(None)
+    tr.evaluate(store, None, held_out(5, None, bconfig), bconfig)
+    assert seen == [2]  # the helper's 3 are counted in its own memory
+
+
+def test_unlabeled_cloud_in_standalone_helper_half_raises_in_parent(monkeypatch):
+    split(monkeypatch, True)
+    store, _, _, bconfig = tuned(None)
+    prepared = held_out(3, None, bconfig)
+    prepared[2] = replace(prepared[2], cloud=replace(prepared[2].cloud, labels=None))
+    with pytest.raises(DataError, match="evaluation requires annotated clouds"):
+        tr.evaluate(store, None, prepared, bconfig)
+
+
+def test_parent_error_in_standalone_evaluate_kills_the_helper(monkeypatch):
+    split(monkeypatch, True)
+    parent, confusion = os.getpid(), tr._confusion
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return confusion(*args)
+
+    monkeypatch.setattr(tr, "_confusion", interrupted)
+    store, _, _, bconfig = tuned(None)
+    with pytest.raises(KeyboardInterrupt):
+        tr.evaluate(store, None, held_out(4, None, bconfig), bconfig)
+
+
+class ExitCheckingHelper(tr._Helper):
+    """Before closing its pipe, checks that the helper has already ended."""
+
+    exit_codes: list = []
+
+    def __exit__(self, exc_type, *rest):
+        self.proc.join(timeout=30)
+        ExitCheckingHelper.exit_codes.append(self.proc.exitcode)
+        super().__exit__(exc_type, *rest)
+
+
+@pytest.mark.parametrize("caller", ["evaluate", "finetune", "pretrain"])
+def test_helper_exits_after_its_last_request(caller, monkeypatch):
+    """The standalone evaluation's request and the last epoch's evaluation
+    are marked last: the helper exits after answering, before the parent
+    closes the pipe."""
+    split(monkeypatch, True)
+    monkeypatch.setattr(tr, "_Helper", ExitCheckingHelper)
+    ExitCheckingHelper.exit_codes = []
+    if caller == "evaluate":
+        store, _, _, bconfig = tuned(None)
+        tr.evaluate(store, None, held_out(2, None, bconfig), bconfig)
+    elif caller == "finetune":
+        run_finetune(pf.PeftConfig(method="gem", rank=2, tokens=2))
+    else:
+        tr.pretrain(clouds(4, seed=3), four_blocks(), tr.TrainConfig(epochs=2, batch_size=2))
+    assert ExitCheckingHelper.exit_codes == [0]
 
 
 def first_batch(tconfig, count):
