@@ -10,9 +10,10 @@ as they have been consumed. Inside ``no_grad`` no graph is built at all,
 while leaf flags and accumulated gradients stay as they were.
 
 Everything is 64-bit: the finite-difference tolerances used throughout
-the test suite are not reachable in single precision. Broadcasting is
-supported only to the extent the model needs it (bias rows, batched
-matmul with a shared right operand).
+the test suite are not reachable in single precision. There is no
+broadcasting: `add` and `mul` take operands of one shape, and `matmul`
+multiplies an (n, i) matrix by an (i, o) one.  Biases are added inside the
+fused layers.
 
 The model's rows are short (16 to 128 wide), where numpy's per-axis
 reductions are slow: a row sum over (36, 16, 16) logits takes three times
@@ -62,37 +63,9 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Operator sugar. Scalars and arrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(value) -> Tensor:
@@ -154,17 +127,9 @@ def _col_sums(g: Array) -> Array:
     return np.ones(g.shape[0]) @ g
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op} needs operands of one shape, got {a.shape} and {b.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +138,27 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
+    _same_shape("add", a, b)
     data = a.data + b.data
 
     def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data - b.data
-
-    def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _node(data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
+    """Elementwise product; a Python scalar is a constant of shape (1,)."""
     a, b = _wrap(a), _wrap(b)
+    _same_shape("mul", a, b)
     data = a.data * b.data
 
     def bwd(g: Array) -> None:
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, g * a.data)
 
     return _node(data, (a, b), bwd)
 
@@ -223,35 +180,19 @@ def relu(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """The product of an (n, i) and an (i, o) matrix."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got {a.shape} x {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError as err:
-        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from err
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul needs (n, i) x (i, o), got {a.shape} x {b.shape}")
+    data = a.data @ b.data
 
     def bwd(g: Array) -> None:
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accum(b, a.data.T @ g)
 
     return _node(data, (a, b), bwd)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g: Array) -> None:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(data, (a,), bwd)
 
 
 def gather_rows(a, index) -> Tensor:
@@ -267,23 +208,6 @@ def gather_rows(a, index) -> Tensor:
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx[valid], g[valid])
         _accum(a, ga)
-
-    return _node(data, (a,), bwd)
-
-
-def group_mean(a, groups, num_groups: int) -> Tensor:
-    """Average rows sharing a group id; empty groups give zero rows."""
-    a = _wrap(a)
-    gid = np.asarray(groups, dtype=np.int64)
-    counts = np.bincount(gid, minlength=num_groups).astype(np.float64)
-    denom = np.maximum(counts, 1.0)
-    sums = np.zeros((num_groups,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(sums, gid, a.data)
-    data = sums / denom.reshape((-1,) + (1,) * (a.data.ndim - 1))
-
-    def bwd(g: Array) -> None:
-        scale = denom[gid].reshape((-1,) + (1,) * (a.data.ndim - 1))
-        _accum(a, g[gid] / scale)
 
     return _node(data, (a,), bwd)
 
@@ -669,14 +593,8 @@ class ParamStore:
         self._frozen[name] = frozen
         return t
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self) -> list[str]:
         return list(self._entries)
@@ -693,16 +611,8 @@ class ParamStore:
         if flag:
             self._entries[name].grad = None
 
-    def freeze_prefix(self, prefix: str) -> None:
-        for name in self._entries:
-            if name.startswith(prefix):
-                self.set_frozen(name, True)
-
     def trainable_items(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._entries.items() if not self._frozen[n]]
-
-    def trainable_names(self) -> list[str]:
-        return [n for n in self._entries if not self._frozen[n]]
 
     @property
     def total_count(self) -> int:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autograd as ag
-from .autograd import ParamStore, Tensor
+from .autograd import Array, ParamStore, Tensor
 from .errors import ContractError, ShapeError, UsageError
 from .geometry import NeighborIndex, PatchPartition, PointCloud
 
@@ -264,12 +264,12 @@ class Resume(NamedTuple):
 
     depth: int
     x: Tensor
-    state: object
+    state: Array | None
 
 
 def _stem(
     cloud: PointCloud, nbr, attachment, store: ParamStore, config: BackboneConfig, tracer
-) -> tuple[Tensor, object]:
+) -> tuple[Tensor, Array | None]:
     """Embedding plus positional refinement, and the input branch's state."""
     n = cloud.n
     x0 = embed(cloud, store)

@@ -178,6 +178,16 @@ def _pconfig_from_args(args) -> pf.PeftConfig:
     )
 
 
+def _load_model(args) -> tuple[bb.BackboneConfig, ag.ParamStore, pf.PeftAttachment | None, dict]:
+    """`--backbone`, with the attachment `--peft` names if it names one, and
+    the merged config the printed hash covers."""
+    bconfig, store = bb.load_backbone(args.backbone)
+    if not args.peft:
+        return bconfig, store, None, bconfig.to_dict()
+    pconfig, store, attachment = pf.load_peft(args.peft, store, bconfig)
+    return bconfig, store, attachment, {**bconfig.to_dict(), **pconfig.to_dict()}
+
+
 def _write_artifact(path, body: str, command: str, config_hash: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"# cmd: {command}\n# hash: {config_hash}\n{body}")
@@ -238,15 +248,9 @@ def _cmd_finetune(args, command: str) -> int:
 
 
 def _cmd_eval(args, command: str) -> int:
-    bconfig, bstore = bb.load_backbone(args.backbone)
-    if args.peft:
-        pconfig, store, attachment = pf.load_peft(args.peft, bstore, bconfig)
-        need_nbr = pconfig.has_spatial
-        cfg = {**bconfig.to_dict(), **pconfig.to_dict()}
-    else:
-        store, attachment, need_nbr = bstore, None, False
-        cfg = bconfig.to_dict()
+    bconfig, store, attachment, cfg = _load_model(args)
     clouds = tr.load_dataset(args.data)
+    need_nbr = attachment is not None and attachment.config.has_spatial
     prepared = tr.prepare(clouds, bconfig, need_neighbors=need_nbr)
     t0 = time.perf_counter()
     metrics = tr.evaluate(store, attachment, prepared, bconfig)
@@ -273,23 +277,16 @@ def _cmd_budget(args, command: str) -> int:
 
 
 def _cmd_dump_attn(args, command: str) -> int:
-    bconfig, bstore = bb.load_backbone(args.backbone)
-    pconfig, store, attachment = pf.load_peft(args.peft, bstore, bconfig)
+    bconfig, store, attachment, cfg = _load_model(args)
     cloud = load_cloud(args.cloud)
     ins.dump_attention(cloud, store, bconfig, attachment, args.out, command=command)
-    _print_hash(ag.config_hash({**bconfig.to_dict(), **pconfig.to_dict()}))
+    _print_hash(ag.config_hash(cfg))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_count_ops(args, command: str) -> int:
-    bconfig, bstore = bb.load_backbone(args.backbone)
-    attachment = None
-    cfg = bconfig.to_dict()
-    store = bstore
-    if args.peft:
-        pconfig, store, attachment = pf.load_peft(args.peft, bstore, bconfig)
-        cfg = {**cfg, **pconfig.to_dict()}
+    bconfig, store, attachment, cfg = _load_model(args)
     cloud = load_cloud(args.cloud)
     counter = ins.count_pass(cloud, store, bconfig, attachment)
     h = ag.config_hash(cfg)

@@ -15,7 +15,7 @@ from . import autograd as ag
 from . import backbone as bb
 from . import training as tr
 from .autograd import ParamStore
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .geometry import PointCloud
 from .peft import PeftAttachment
 
@@ -39,10 +39,6 @@ class OpCounter:
             self.sites[site] = self.sites.get(site, 0) + int(madds)
         if arrays:
             self.arrays[site] = {k: v.copy() for k, v in arrays.items()}
-
-    def reset(self) -> None:
-        self.sites.clear()
-        self.arrays.clear()
 
     def total(self, substring: str = "") -> int:
         return sum(v for k, v in self.sites.items() if substring in k)
@@ -138,16 +134,23 @@ def dump_attention(
 
 
 def load_attention_dump(path) -> dict[int, dict[int, dict[int, float]]]:
-    """Inverse of dump_attention: block -> token -> point -> weight."""
+    """Inverse of dump_attention: block -> token -> point -> weight.
+
+    A malformed line raises `DataError` naming the file and the line.
+    """
     out: dict[int, dict[int, dict[int, float]]] = {}
-    block = -1
+    rows = None  # the current block's tokens
     with open(path) as fh:
-        for ln in fh:
+        for number, ln in enumerate(fh, start=1):
             ln = ln.strip()
-            if ln.startswith("# block "):
-                block = int(ln.split()[-1])
-                out[block] = {}
-            elif ln and not ln.startswith("#") and not ln.startswith("token_id"):
-                t, j, w = ln.split(",")
-                out[block].setdefault(int(t), {})[int(j)] = float(w)
+            try:
+                if ln.startswith("# block "):
+                    rows = out[int(ln.split()[-1])] = {}
+                elif ln and not ln.startswith("#") and not ln.startswith("token_id"):
+                    t, j, w = ln.split(",")
+                    if rows is None:
+                        raise ValueError("a row before the first '# block' line")
+                    rows.setdefault(int(t), {})[int(j)] = float(w)
+            except ValueError as exc:
+                raise DataError(f"{path} line {number}: {exc}: {ln!r}") from None
     return out

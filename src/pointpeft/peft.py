@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import ParamStore, Tensor
+from .autograd import Array, ParamStore, Tensor
 from .backbone import AttnMods, BackboneConfig, expected_layout
 from .errors import ContractError, InfeasibleBudgetError, UsageError
 from .geometry import NeighborIndex, stencil_offsets
@@ -157,10 +157,12 @@ class PeftAttachment:
 
     # -- insertion hooks ----------------------------------------------------
 
-    def input_state(self, x0: Tensor, nbr: NeighborIndex | None) -> Tensor | None:
+    def input_state(self, x0: Tensor, nbr: NeighborIndex | None) -> Array | None:
         """What `input_branch` reads of the embedding x0: its voxel means,
         (V, d), for the spatial adapter, else nothing.  A function of x0
-        alone, so a fine-tune computes it once per cloud."""
+        alone, so a fine-tune computes it once per cloud.  The stem is frozen
+        wherever the spatial adapter trains, so the means are plain numbers,
+        not a graph node; every voxel holds at least one point."""
         if not self.config.has_spatial:
             return None
         if nbr is None:
@@ -169,7 +171,9 @@ class PeftAttachment:
             raise ContractError(
                 f"neighbor index covers {nbr.num_points} points, features have {x0.shape[0]}"
             )
-        return ag.group_mean(x0, nbr.voxel_of_point, nbr.num_voxels)
+        sums = np.zeros((nbr.num_voxels, x0.shape[1]))
+        np.add.at(sums, nbr.voxel_of_point, x0.data)
+        return sums / np.bincount(nbr.voxel_of_point, minlength=nbr.num_voxels)[:, None]
 
     def input_branch(self, state, nbr: NeighborIndex | None, tracer=None) -> Tensor | None:
         """The branch added to the stem, from `input_state`'s result."""
@@ -243,7 +247,7 @@ def adapter_branch(x: Tensor, down: Tensor, up: Tensor) -> Tensor:
 
 
 def spatial_adapter_branch(
-    vox: Tensor, nbr: NeighborIndex, store: ParamStore, tracer=None
+    vox: Array, nbr: NeighborIndex, store: ParamStore, tracer=None
 ) -> Tensor:
     """Stencil aggregation branch (no residual; the caller adds it).
 

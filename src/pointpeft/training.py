@@ -85,15 +85,13 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 class OptState:
     """Optimizer state for every trainable scalar as one flat vector, laid out
-    in `store.trainable_items()` order when the first step binds it; strict
-    mode flags grads on frozen params."""
+    in `store.trainable_items()` order by `bind`."""
 
     ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
     SGD_MOMENTUM = 0.9
 
-    def __init__(self, config: TrainConfig, strict: bool = True):
+    def __init__(self, config: TrainConfig):
         self.config = config
-        self.strict = strict
         self.t = 0
         self.layout: list[tuple[str, tuple[int, ...]]] | None = None
 
@@ -131,30 +129,24 @@ def _flat_grads(items: list[tuple[str, Tensor]], out: Array) -> None:
     np.concatenate(grads, out=out)
 
 
-def step(
-    store: ParamStore, state: OptState, lr: float | None = None, gathered: bool = False
-) -> None:
+def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
     """Apply one update to every non-frozen parameter, then zero all grads.
 
-    After the freeze check, the parameters and gradients (zeros for a None
-    grad) are gathered into `state`'s flat vectors, updated there in place
-    and written back into each `t.data`.  With `gathered`, `state.g`
-    already holds the gradients (the training loop sums each batch there)
-    and no trainable `t.grad` is read.  Every operation is elementwise and
-    in the per-tensor formula's order, so the bytes do not depend on the
-    layout."""
+    After the freeze check, the parameters are gathered into `state.w`,
+    updated there in place together with the gradients the caller summed
+    into `state.g` (the training loop sums each batch there; no `t.grad` is
+    read), and written back into each `t.data`.  Every operation is
+    elementwise and in the per-tensor formula's order, so the bytes do not
+    depend on the layout."""
     config = state.config
     lr = config.learning_rate if lr is None else lr
-    if state.strict:
-        _check_frozen_grads(store)
+    _check_frozen_grads(store)
     items = store.trainable_items()
     state.bind(items)
     state.t += 1
     if items:
         w, g, s = state.w, state.g, state.s
         np.concatenate([t.data.ravel() for _, t in items], out=w)
-        if not gathered:
-            _flat_grads(items, g)
         if config.optimizer == "adamw":
             b1, b2, eps, m, v = state.ADAM_B1, state.ADAM_B2, state.ADAM_EPS, state.m, state.v
             m *= b1  # m = b1 * m + (1 - b1) * g
@@ -455,7 +447,7 @@ def _cloud_grads(
 ) -> float:
     """One cloud's loss.  The gradient of `scale` times it goes into `flat`,
     flat in `store.trainable_items()` order (the layout `OptState` binds);
-    a gradient on a frozen parameter raises, as `step`'s strict check would.
+    a gradient on a frozen parameter raises, as `step`'s freeze check would.
     The store is left with no gradients.  `cm`, if given, also counts the
     forward's predictions."""
     if pc.cloud.labels is None:
@@ -661,7 +653,7 @@ def _run_epochs(
                         state.g += row
                     if cm is not None:
                         cm.merge(helper_cm)
-                step(store, state, lr, gathered=True)
+                step(store, state, lr)
             if cm is not None:
                 metrics = cm.metrics()
             else:

@@ -7,6 +7,8 @@ from pointpeft import geometry as geo
 from pointpeft.errors import ContractError, ShapeError, UsageError
 from pointpeft.instrumentation import OpCounter
 
+from test_autograd import tsum
+
 
 def rand_cloud(rng, n, channels=6):
     coords = rng.uniform(0, 4, (n, 3))
@@ -86,10 +88,11 @@ class TestEmbed:
     def test_gradient_on_projection(self):
         rng = np.random.default_rng(1)
         store = bb.init_backbone(small_config(), 2)
-        store.freeze_prefix("")
+        for name in store.names():
+            store.set_frozen(name, True)
         store.set_frozen("backbone.embed.weight", False)
         cloud = rand_cloud(rng, 6)
-        err = ag.check_gradients(lambda: ag.tsum(bb.embed(cloud, store)), store)
+        err = ag.check_gradients(lambda: tsum(bb.embed(cloud, store)), store)
         assert err < 1e-6
 
 
@@ -113,13 +116,14 @@ class TestPosEncode:
     def test_gradient_on_both_layers(self):
         rng = np.random.default_rng(3)
         store = bb.init_backbone(small_config(), 4)
-        store.freeze_prefix("")
+        for name in store.names():
+            store.set_frozen(name, True)
         store.set_frozen("backbone.pos.w1", False)
         store.set_frozen("backbone.pos.w2", False)
         coords = ag.Tensor(rng.uniform(-1, 1, (5, 3)))
         # keep hidden units away from the ReLU kink for finite differences
         store["backbone.pos.b1"].data[:] = 0.3
-        err = ag.check_gradients(lambda: ag.tsum(bb.pos_encode(coords, store)), store)
+        err = ag.check_gradients(lambda: tsum(bb.pos_encode(coords, store)), store)
         assert err < 1e-4
 
 
@@ -192,12 +196,13 @@ class TestFfn:
     def test_gradient(self):
         rng = np.random.default_rng(7)
         store = bb.init_backbone(small_config(), 8)
-        store.freeze_prefix("")
+        for name in store.names():
+            store.set_frozen(name, True)
         store.set_frozen("backbone.block0.ffn.fc1.weight", False)
         store.set_frozen("backbone.block0.ffn.fc2.weight", False)
         store["backbone.block0.ffn.fc1.bias"].data[:] = 0.3
         x = ag.Tensor(rng.uniform(-1, 1, (5, 8)))
-        err = ag.check_gradients(lambda: ag.tsum(bb.ffn(x, store, "backbone.block0.ffn")), store)
+        err = ag.check_gradients(lambda: tsum(bb.ffn(x, store, "backbone.block0.ffn")), store)
         assert err < 1e-4
 
 
@@ -242,7 +247,7 @@ class TestForward:
 
         def f():
             out = bb.forward(cloud, part, None, None, store, config)
-            return ag.tsum(ag.mul(out.logits, weights))
+            return tsum(ag.mul(out.logits, weights))
 
         assert ag.check_gradients(f, store) < 1e-4
 

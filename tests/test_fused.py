@@ -17,7 +17,7 @@ from pointpeft import autograd as ag
 from pointpeft import geometry as geo
 from pointpeft.errors import NumericError, ShapeError
 
-from test_autograd import fd_check, rand
+from test_autograd import fd_check, rand, tsum
 
 
 def probe(rng, *shape):
@@ -126,13 +126,11 @@ class TestAffine:
         rng = np.random.default_rng(1)
         x, w, b = rand(rng, 6, 4), rand(rng, 4, 3), rand(rng, 3)
         g = probe(rng, 6, 3)
-        ag.backward(ag.tsum(ag.mul(ag.affine(x, w, b), g)))
-        fused = [t.grad.copy() for t in (x, w, b)]
-        for t in (x, w, b):
-            t.grad = None
-        ag.backward(ag.tsum(ag.mul(ag.add(ag.matmul(x, w), b), g)))
-        for got, t in zip(fused, (x, w, b)):
-            np.testing.assert_allclose(got, t.grad, rtol=0, atol=1e-12)
+        ag.backward(tsum(ag.mul(ag.affine(x, w, b), g)))
+        # the gradients of x @ w followed by a bias add, at the probe g
+        chain = (g.data @ w.data.T, x.data.T @ g.data, g.data.sum(axis=0))
+        for t, want in zip((x, w, b), chain):
+            np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
 
     def test_central_differences(self):
         rng = np.random.default_rng(2)
@@ -299,7 +297,7 @@ class TestPatchAttention:
         frozen = [x, weights[0], weights[3], weights[6], lora[0]]
         for t in frozen:
             t.requires_grad = False
-        ag.backward(ag.tsum(ag.patch_attention(x, weights, index, 2, lora=lora)[0]))
+        ag.backward(tsum(ag.patch_attention(x, weights, index, 2, lora=lora)[0]))
         assert all(t.grad is None for t in frozen)
         assert all(t.grad is not None for t in (*weights, *lora) if t.requires_grad)
 
@@ -334,12 +332,12 @@ class TestMlp:
         args = (rand(rng, 6, 3), rand(rng, 3, 5), rand(rng, 5), rand(rng, 5, 2), rand(rng, 2))
         x, w1, b1, w2, b2 = args
         g = probe(rng, 6, 2)
-        ag.backward(ag.tsum(ag.mul(ag.mlp(*args), g)))
+        ag.backward(tsum(ag.mul(ag.mlp(*args), g)))
         fused = [t.grad.copy() for t in args]
         for t in args:
             t.grad = None
         chain = ag.affine(ag.relu(ag.affine(x, w1, b1)), w2, b2)
-        ag.backward(ag.tsum(ag.mul(chain, g)))
+        ag.backward(tsum(ag.mul(chain, g)))
         for got, t in zip(fused, args):
             np.testing.assert_allclose(got, t.grad, rtol=0, atol=1e-12)
 
@@ -413,7 +411,7 @@ class TestShortRows:
         x, scale, shift = rand(rng, 144, 32), rand(rng, 32), rand(rng, 32)
         g = rng.normal(size=(144, 32))
         out = ag.layer_norm(x, scale, shift, 1e-5)
-        ag.backward(ag.tsum(ag.mul(out, g)))
+        ag.backward(tsum(ag.mul(out, g)))
         centered = x.data - x.data.mean(axis=-1, keepdims=True)
         inv = ((centered * centered).mean(axis=-1, keepdims=True) + 1e-5) ** -0.5
         xhat = centered * inv
@@ -452,7 +450,7 @@ class TestStencil:
         nbr, vox, kernels = stencil_case(rng, r=3, out=4)
         assert (nbr.neighbor_voxels < 0).any() and (nbr.neighbor_voxels[:, :13] >= 0).any()
         g = rng.normal(size=(nbr.num_voxels, 4))
-        ag.backward(ag.tsum(ag.mul(ag.stencil(vox, nbr.neighbor_voxels, kernels), g)))
+        ag.backward(tsum(ag.mul(ag.stencil(vox, nbr.neighbor_voxels, kernels), g)))
         want = stencil_vox_grad_oracle(g, nbr.neighbor_voxels, [t.data for t in kernels], nbr.num_voxels)
         np.testing.assert_allclose(vox.grad, want, rtol=0, atol=1e-12)
 

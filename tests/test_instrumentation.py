@@ -11,7 +11,7 @@ import pointpeft.autograd as ag
 import pointpeft.backbone as bb
 import pointpeft.instrumentation as ins
 import pointpeft.peft as peft
-from pointpeft.errors import UsageError
+from pointpeft.errors import DataError, UsageError
 from pointpeft.geometry import PointCloud, build_neighbor_index, serialize
 
 
@@ -58,13 +58,6 @@ class TestOpCounter:
         live[:] = -1.0
         assert c.sites == {}
         np.testing.assert_array_equal(c.arrays["a"]["weights"], np.arange(4.0))
-
-    def test_reset(self):
-        c = ins.OpCounter()
-        c.record("a", 3, weights=np.ones(2))
-        c.reset()
-        assert c.sites == {}
-        assert c.arrays == {}
 
     def test_total_filters_by_substring(self):
         c = ins.OpCounter()
@@ -306,3 +299,20 @@ class TestDumpAttention:
         ins.dump_attention(grid_cloud(n), store, bconfig, attachment, a)
         ins.dump_attention(grid_cloud(n), store, bconfig, attachment, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestLoadAttentionDump:
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("token_id,point_id,weight\n0,1,0.5\n", 2),  # a row before any block header
+            ("token_id,point_id,weight\n# block 0\n0,1\n", 3),  # a row with two fields
+            ("token_id,point_id,weight\n# block x\n", 2),  # a block id that is no integer
+        ],
+        ids=["row-before-block", "two-fields", "block-id"],
+    )
+    def test_malformed_line_raises_data_error(self, tmp_path, body, line):
+        path = tmp_path / "attn.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match=rf"attn\.csv line {line}:"):
+            ins.load_attention_dump(path)

@@ -8,6 +8,8 @@ from pointpeft import peft
 from pointpeft.errors import ContractError, InfeasibleBudgetError, UsageError
 from pointpeft.instrumentation import OpCounter
 
+from test_autograd import tsum
+
 
 def small_config(**kw):
     base = dict(
@@ -82,7 +84,7 @@ class TestAdapter:
         down = store.add("down", rng.uniform(-0.3, 0.3, (6, 3)))
         up = store.add("up", rng.uniform(-0.3, 0.3, (3, 6)))
         x = ag.Tensor(rng.uniform(0.5, 1.0, (4, 6)))
-        err = ag.check_gradients(lambda: ag.tsum(peft.adapter_branch(x, down, up)), store)
+        err = ag.check_gradients(lambda: tsum(peft.adapter_branch(x, down, up)), store)
         assert err < 1e-4
 
 
@@ -184,7 +186,7 @@ class TestBitfit:
         bconfig = small_config()
         store = bb.init_backbone(bconfig, 1)
         peft.bitfit_select(store)
-        trainable = set(store.trainable_names())
+        trainable = {n for n, _ in store.trainable_items()}
         expect = {
             n for n in store.names() if n.endswith(".bias") or n.endswith(".shift")
         }
@@ -192,7 +194,7 @@ class TestBitfit:
 
     def test_attach_adds_head_weight(self):
         bconfig, store, pconfig, _ = attached_model("bitfit")
-        trainable = set(store.trainable_names())
+        trainable = {n for n, _ in store.trainable_items()}
         assert "head.weight" in trainable
         assert "backbone.block0.attn.q.weight" not in trainable
         assert "backbone.block0.attn.q.bias" in trainable
@@ -222,6 +224,21 @@ class TestSpatialAdapter:
         ) @ store["peft.sa.up"].data
         np.testing.assert_allclose(branch, manual, atol=1e-14)
 
+    def test_voxel_means_match_a_per_voxel_loop(self):
+        bconfig, store, _, attachment = attached_model("gem_sa_only", small_config(voxel_size=2.0))
+        cloud = rand_cloud(np.random.default_rng(13), 40)
+        nbr = geo.build_neighbor_index(cloud, bconfig.voxel_size)
+        x0 = bb.embed(cloud, store)
+        means = attachment.input_state(x0, nbr)
+        assert means.shape == (nbr.num_voxels, bconfig.d)
+        assert np.bincount(nbr.voxel_of_point).max() > 1
+        for v in range(nbr.num_voxels):
+            rows = x0.data[nbr.voxel_of_point == v]
+            total = np.zeros(bconfig.d)
+            for row in rows:  # in point order, as the means sum
+                total = total + row
+            assert means[v].tobytes() == (total / len(rows)).tobytes()
+
     def test_requires_neighbor_index(self):
         bconfig, store, _, attachment = attached_model("gem_sa_only")
         cloud = rand_cloud(np.random.default_rng(9), 8)
@@ -234,7 +251,7 @@ class TestSpatialAdapter:
         small = rand_cloud(np.random.default_rng(10), 4)
         nbr = geo.build_neighbor_index(small, bconfig.voxel_size)
         with pytest.raises(ContractError):
-            attachment.input_branch(ag.Tensor(np.zeros((8, 8))), nbr)
+            attachment.input_branch(np.zeros((8, 8)), nbr)
 
     def test_gradient_through_branch(self):
         bconfig, store, _, attachment = attached_model("gem_sa_only", seed=11, rank=2)
@@ -247,7 +264,7 @@ class TestSpatialAdapter:
         probe = ag.Tensor(rng.normal(size=(6, 8)))
 
         def f():
-            return ag.tsum(ag.mul(peft.spatial_adapter_branch(vox, nbr, store), probe))
+            return tsum(ag.mul(peft.spatial_adapter_branch(vox, nbr, store), probe))
 
         assert ag.check_gradients(f, store) < 1e-4
 
@@ -314,7 +331,7 @@ class TestContextAdapter:
 
         def f():
             out = bb.forward(cloud, part, nbr, attachment, store, bconfig)
-            return ag.tsum(ag.mul(out.logits, probe))
+            return tsum(ag.mul(out.logits, probe))
 
         assert ag.check_gradients(f, store) < 1e-4
 
@@ -379,7 +396,7 @@ class TestSharingModes:
 class TestAttach:
     def test_linear_trains_head_only(self):
         _, store, _, _ = attached_model("linear")
-        assert set(store.trainable_names()) == {"head.weight", "head.bias"}
+        assert {n for n, _ in store.trainable_items()} == {"head.weight", "head.bias"}
 
     def test_gem_hooks_both_families(self):
         _, store, _, attachment = attached_model("gem")
