@@ -7,6 +7,9 @@ through the z-order serialization that turns an unordered cloud into
 contiguous local patches.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import pointpeft as pp
@@ -63,7 +66,9 @@ print(f"\nstencil of {len(offsets)} offsets; "
       f"{occupied} occupied neighbor links across {nbr.num_voxels} voxels")
 
 # round-trip to the text format used by the CLI
-pp.save_cloud("/tmp/demo_cloud.txt", cloud)
-again = pp.load_cloud("/tmp/demo_cloud.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_cloud.txt")
+    pp.save_cloud(path, cloud)
+    again = pp.load_cloud(path)
 print("save/load round trip bitwise equal:",
       bool(np.array_equal(again.coords, cloud.coords)))

@@ -196,16 +196,6 @@ def ffn(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     )
 
 
-@dataclass
-class AttnMods:
-    """Attachment-supplied modifications applied inside local attention."""
-
-    lora_q: tuple[Tensor, Tensor] | None = None  # (down d x r, up r x d)
-    lora_k: tuple[Tensor, Tensor] | None = None
-    prompt_k: Tensor | None = None  # m x d, prepended as extra keys
-    prompt_v: Tensor | None = None
-
-
 PROJECTIONS = ("q", "k", "v", "out")
 
 
@@ -215,7 +205,8 @@ def local_attention(
     store: ParamStore,
     prefix: str,
     heads: int,
-    mods: AttnMods | None = None,
+    lora: tuple[Tensor, Tensor, Tensor, Tensor] | None = None,
+    prompts: tuple[Tensor, Tensor] | None = None,
     tracer=None,
     site: str = "",
 ) -> Tensor:
@@ -223,6 +214,8 @@ def local_attention(
 
     The q, k, v and output projections, any LoRA deltas and prompts, and
     the attention itself form one graph node (`autograd.patch_attention`).
+    `lora` is (q_down, q_up, k_down, k_up), each down d x r and up r x d;
+    `prompts` is (keys, values), each m x d, prepended to every patch.
     Padded slots are masked out before the softmax and dropped from the
     output; rows come back in original point order.  A tracer sees the
     softmax weights, shaped (patches*heads, p, m+p) with any m prompt
@@ -234,10 +227,7 @@ def local_attention(
     if d % heads != 0:
         raise ContractError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
-    mods = mods or AttnMods()
     weights = [store[f"{prefix}.{proj}.{kind}"] for proj in PROJECTIONS for kind in ("weight", "bias")]
-    lora = None if mods.lora_q is None else (*mods.lora_q, *mods.lora_k)
-    prompts = None if mods.prompt_k is None else (mods.prompt_k, mods.prompt_v)
 
     out, attn = ag.patch_attention(x, weights, part.index, heads, lora, prompts)
     if tracer is not None:
@@ -298,10 +288,10 @@ def _blocks(
     for i in range(start, stop):
         site = f"block{i}"
         xn = layer_norm(x, store, f"backbone.{site}.ln1")
-        mods = attachment.attention_mods(i) if attachment is not None else None
+        lora, prompts = attachment.attention_mods(i) if attachment is not None else (None, None)
         attn = local_attention(
             xn, part, store, f"backbone.{site}.attn", config.heads,
-            mods=mods, tracer=tracer, site=site,
+            lora=lora, prompts=prompts, tracer=tracer, site=site,
         )
         x = ag.add(x, attn)
         if attachment is not None:

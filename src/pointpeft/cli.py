@@ -413,14 +413,10 @@ def _cmd_sweep(args, command: str) -> int:
                 last = record.epochs[-1]
                 miou = repr(last.miou)
                 lines.append(f"{prefix},{pct!r},{miou},{last.macc!r},{last.allacc!r}")
-            except PointPeftError as exc:
-                lines.append(f"{prefix},{pct!r},nan,nan,nan")
-                lines.append(f"# cell {prefix} failed: {exc}")
-                worst = max(worst, exc.exit_code)
             except Exception as exc:  # cell isolation: the sweep continues
                 lines.append(f"{prefix},{pct!r},nan,nan,nan")
                 lines.append(f"# cell {prefix} failed: {exc}")
-                worst = max(worst, 2)
+                worst = max(worst, exc.exit_code if isinstance(exc, PointPeftError) else 2)
             wall = time.perf_counter() - t0
             print(f"cell {prefix}: miou {miou} in {wall:.3f} s", file=sys.stderr)
     with open(args.out, "w") as fh:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Array, ParamStore, Tensor
-from .backbone import AttnMods, BackboneConfig, expected_layout
+from .backbone import BackboneConfig, expected_layout
 from .errors import ContractError, InfeasibleBudgetError, UsageError
 from .geometry import NeighborIndex, stencil_offsets
 
@@ -38,7 +38,7 @@ METHODS = (
 )
 SHARING_MODES = ("per_block", "per_stage", "global")
 
-STENCIL_K = 3  # the only stencil size PeftConfig accepts
+STENCIL_K = 3  # the only stencil size; configs record it as `k`
 DEFAULT_RANK = 8
 DEFAULT_TOKENS = 4
 # budget-matched scans keep tokens proportional to rank at the 4:32 default ratio
@@ -59,7 +59,6 @@ class PeftConfig:
     rank: int = DEFAULT_RANK
     tokens: int = DEFAULT_TOKENS
     sharing: str = "global"
-    k: int = 3
     blocks: tuple[int, ...] = ()  # empty means every block
 
     def __post_init__(self) -> None:
@@ -69,8 +68,6 @@ class PeftConfig:
             raise UsageError(f"unknown sharing {self.sharing!r}; choose from {SHARING_MODES}")
         if self.rank < 1 or self.tokens < 1:
             raise UsageError("rank and tokens must be >= 1")
-        if self.k != STENCIL_K:
-            raise UsageError(f"stencil size is fixed at k={STENCIL_K}")
 
     def active_blocks(self, total: int) -> tuple[int, ...]:
         if not self.blocks:
@@ -85,7 +82,7 @@ class PeftConfig:
             "rank": str(self.rank),
             "tokens": str(self.tokens),
             "sharing": self.sharing,
-            "k": str(self.k),
+            "k": str(STENCIL_K),
             "insertion_blocks": ",".join(str(b) for b in self.blocks) or "all",
         }
 
@@ -93,16 +90,19 @@ class PeftConfig:
     def from_dict(cls, cfg: dict) -> "PeftConfig":
         try:
             blocks = parse_blocks(str(cfg.get("insertion_blocks", "all")))
-            return cls(
+            config = cls(
                 method=str(cfg["method"]),
                 rank=int(cfg["rank"]),
                 tokens=int(cfg["tokens"]),
                 sharing=str(cfg["sharing"]),
-                k=int(cfg.get("k", 3)),
                 blocks=blocks,
             )
+            k = int(cfg.get("k", STENCIL_K))
         except (KeyError, ValueError) as exc:
             raise ContractError(f"malformed attachment config: {exc}") from exc
+        if k != STENCIL_K:
+            raise UsageError(f"stencil size is fixed at k={STENCIL_K}")
+        return config
 
     @property
     def has_spatial(self) -> bool:
@@ -187,22 +187,17 @@ class PeftAttachment:
             )
         return spatial_adapter_branch(state, nbr, self.store, tracer=tracer)
 
-    def attention_mods(self, block: int) -> AttnMods | None:
-        if block not in self._blocks:
-            return None
-        if self.config.method == "lora":
+    def attention_mods(self, block: int) -> tuple[tuple[Tensor, ...] | None, ...]:
+        """The `lora` and `prompts` that `backbone.local_attention` takes at
+        `block`, None for whichever is absent."""
+        if block in self._blocks and self.config.method == "lora":
             pre = f"peft.block{block}.lora"
-            return AttnMods(
-                lora_q=(self.store[f"{pre}.q_down"], self.store[f"{pre}.q_up"]),
-                lora_k=(self.store[f"{pre}.k_down"], self.store[f"{pre}.k_up"]),
-            )
-        if self.config.method == "prompt":
+            names = ("q_down", "q_up", "k_down", "k_up")
+            return tuple(self.store[f"{pre}.{n}"] for n in names), None
+        if block in self._blocks and self.config.method == "prompt":
             pre = f"peft.block{block}.prompt"
-            return AttnMods(
-                prompt_k=self.store[f"{pre}.pk"],
-                prompt_v=self.store[f"{pre}.pv"],
-            )
-        return None
+            return None, (self.store[f"{pre}.pk"], self.store[f"{pre}.pv"])
+        return None, None
 
     def context_branch(self, xn: Tensor, block: int, latent: Tensor | None, tracer=None):
         """The context adapter's branch at `block` and the latent tokens it
@@ -396,7 +391,7 @@ def peft_param_count(config: PeftConfig, bconfig: BackboneConfig) -> int:
     """Closed-form count of the scalars a method adds (head excluded)."""
     d, r, m = bconfig.d, config.rank, config.tokens
     nblocks = len(config.active_blocks(bconfig.blocks))
-    k3 = config.k**3
+    k3 = STENCIL_K**3
     counts = {
         "linear": 0,
         "bitfit": 0,

@@ -85,7 +85,8 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 class OptState:
     """Optimizer state for every trainable scalar as one flat vector, laid out
-    in `store.trainable_items()` order by `bind`."""
+    in `store.trainable_items()` order by `bind`.  `w` holds the parameters
+    themselves, in memory a forked `_Helper` shares."""
 
     ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
     SGD_MOMENTUM = 0.9
@@ -93,28 +94,31 @@ class OptState:
     def __init__(self, config: TrainConfig):
         self.config = config
         self.t = 0
-        self.layout: list[tuple[str, tuple[int, ...]]] | None = None
+        self.bound: list[tuple[str, Tensor]] | None = None
 
     def bind(self, items: list[tuple[str, Tensor]]) -> None:
-        """Allocate the flat buffers on the first step; later steps must
-        bring the same names and shapes."""
-        layout = [(name, t.shape) for name, t in items]
-        if self.layout is not None:
-            if layout != self.layout:
+        """On the first call, allocate the flat buffers, copy each parameter
+        into `w` and point its `t.data` at its view there; later calls must
+        bring the same names and tensors."""
+        if self.bound is not None:
+            if items != self.bound:  # names by value, tensors by identity
                 raise ContractError("the trainable parameters changed between optimizer steps")
             return
-        self.layout = layout
+        self.bound = items
         size = sum(t.numel for _, t in items)
         if self.config.optimizer == "adamw":
             self.m, self.v = np.zeros(size), np.zeros(size)
         else:
             self.vel = np.zeros(size)
-        # w and g gather the parameters and gradients; s is scratch.
-        self.w, self.g, self.s = np.zeros(size), np.zeros(size), np.zeros(size)
-        ends = np.cumsum([t.numel for _, t in items], dtype=int)
-        self.views = [
-            self.w[e - t.numel : e].reshape(t.shape) for (_, t), e in zip(items, ends)
-        ]
+        # g takes the summed gradients; s is scratch.
+        self.g, self.s = np.zeros(size), np.zeros(size)
+        self.w = np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), np.float64, size)  # shared on fork
+        end = 0
+        for _, t in items:
+            view = self.w[end : end + t.numel].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            end += t.numel
 
 
 def _check_frozen_grads(store: ParamStore) -> None:
@@ -132,12 +136,11 @@ def _flat_grads(items: list[tuple[str, Tensor]], out: Array) -> None:
 def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
     """Apply one update to every non-frozen parameter, then zero all grads.
 
-    After the freeze check, the parameters are gathered into `state.w`,
-    updated there in place together with the gradients the caller summed
-    into `state.g` (the training loop sums each batch there; no `t.grad` is
-    read), and written back into each `t.data`.  Every operation is
-    elementwise and in the per-tensor formula's order, so the bytes do not
-    depend on the layout."""
+    After the freeze check, the parameters are updated in place in
+    `state.w`, where `bind` put them, together with the gradients the caller
+    summed into `state.g` (the training loop sums each batch there; no
+    `t.grad` is read).  Every operation is elementwise and in the per-tensor
+    formula's order, so the bytes do not depend on the layout."""
     config = state.config
     lr = config.learning_rate if lr is None else lr
     _check_frozen_grads(store)
@@ -146,7 +149,6 @@ def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
     state.t += 1
     if items:
         w, g, s = state.w, state.g, state.s
-        np.concatenate([t.data.ravel() for _, t in items], out=w)
         if config.optimizer == "adamw":
             b1, b2, eps, m, v = state.ADAM_B1, state.ADAM_B2, state.ADAM_EPS, state.m, state.v
             m *= b1  # m = b1 * m + (1 - b1) * g
@@ -169,8 +171,6 @@ def step(store: ParamStore, state: OptState, lr: float | None = None) -> None:
             vel += np.multiply(w, config.weight_decay, out=g)
             np.multiply(vel, lr, out=s)
         w -= s
-        for (_, t), view in zip(items, state.views):
-            t.data[...] = view
     store.zero_grads()
 
 
@@ -493,27 +493,23 @@ class _Helper:
     """A forked copy of the process that runs the second half of every
     batch and every evaluation of one `_run_epochs` or `evaluate` call.
 
-    Arrays travel through memory both processes map: row 0 holds the
-    parent's trainable arrays, written before every request, and row k + 1
-    the flat gradient of the helper's k-th cloud of a batch.  The pipe
-    carries only the requests and the small rest of each answer (losses, a
-    confusion matrix) or the exception the helper's share raised, which
-    `reply` raises here.  The helper exits after answering a request marked
-    `last`, or when the parent closes its end or dies.
+    Arrays travel through memory both processes map.  In `_run_epochs` the
+    trainable parameters live in the optimizer's `OptState.w`, bound before
+    the fork, so the helper reads the parent's current values; the parent
+    steps only after a `reply`, while the helper waits for its next
+    request.  Row k of `grads` holds the flat gradient of the helper's k-th
+    cloud of a batch.  The pipe carries only the requests and the small
+    rest of each answer (losses, a confusion matrix) or the exception the
+    helper's share raised, which `reply` raises here.  The helper exits
+    after answering a request marked `last`, or when the parent closes its
+    end or dies.
     """
 
     def __init__(self, store, attachment, bconfig, splits, batch_size: int):
         self.store, self.attachment, self.bconfig, self.splits = store, attachment, bconfig, splits
-        self.trainable = [t for _, t in store.trainable_items()]
-        sizes = [t.data.size for t in self.trainable]
-        rows = 1 + batch_size - _parent_share(batch_size, self)
-        self.shared = mmap.mmap(-1, 8 * max(1, rows * sum(sizes)))  # anonymous, shared on fork
-        flat = np.frombuffer(self.shared, np.float64, rows * sum(sizes)).reshape(rows, -1)
-        ends = np.cumsum(sizes, dtype=int)
-        self.params = [
-            flat[0, e - n : e].reshape(t.shape) for t, n, e in zip(self.trainable, sizes, ends)
-        ]
-        self.grads = flat[1:]
+        rows, width = batch_size - _parent_share(batch_size, self), store.trainable_count
+        shared = mmap.mmap(-1, 8 * max(1, rows * width))  # anonymous, shared on fork
+        self.grads = np.frombuffer(shared, np.float64, rows * width).reshape(rows, width)
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=self._serve, args=(child,), daemon=True)
@@ -536,8 +532,6 @@ class _Helper:
         return next(i for i, (p, _) in enumerate(self.splits) if p is prepared)
 
     def request(self, kind: str, split: int, *args, last: bool = False) -> None:
-        for view, t in zip(self.params, self.trainable):
-            view[...] = t.data
         self.conn.send((kind, split, last, *args))
 
     def reply(self):
@@ -561,8 +555,6 @@ class _Helper:
                 kind, split, last, *args = conn.recv()
             except EOFError:
                 return
-            for view, t in zip(self.params, self.trainable):
-                t.data[...] = view
             prepared, resume = self.splits[split]
             try:
                 if kind == "batch":
@@ -604,7 +596,7 @@ def _run_epochs(
     over the split, and only the last epoch calls `evaluate`.  That last
     evaluation is the helper's last request."""
     state = OptState(tconfig)
-    state.bind(store.trainable_items())
+    state.bind(store.trainable_items())  # before the helper forks: it must share `state.w`
     later = np.empty_like(state.g)  # the gradient of a batch's second and later clouds
     running = eval_prepared is prepared
     record.running_metrics = running

@@ -374,25 +374,31 @@ class TestSweep:
         assert not out.exists()
 
     def test_cell_failure_recorded_and_exit_reflects_worst(self, ws, tmp_path, monkeypatch):
+        """A typed error exits with its own code, any other exception with 2."""
         real = tr.finetune
+        cases = [
+            (NumericError("loss diverged to nan at epoch 0"), 3),
+            (RuntimeError("loss diverged in an untyped way"), 2),
+        ]
+        for error, want in cases:
 
-        def flaky(bstore, bconfig, pconfig, *a, **kw):
-            if pconfig.method == "gem":
-                raise NumericError("loss diverged to nan at epoch 0")
-            return real(bstore, bconfig, pconfig, *a, **kw)
+            def flaky(bstore, bconfig, pconfig, *a, **kw):
+                if pconfig.method == "gem":
+                    raise error
+                return real(bstore, bconfig, pconfig, *a, **kw)
 
-        monkeypatch.setattr(tr, "finetune", flaky)
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("methods = linear, gem\nranks = 2\ntokens = 1\nseeds = 0\nepochs = 1\nbatch_size = 4\n")
-        out = tmp_path / "results.csv"
-        code = cli.main(["sweep", "--config", str(cfg), "--backbone",
-                         str(ws["bb"]), "--data", str(ws["tgt"]), "--out", str(out)])
-        assert code == 3
-        text = out.read_text()
-        assert "failed: loss diverged" in text
-        # the healthy cell still produced a metrics row
-        linear_rows = [ln for ln in text.splitlines()
-                       if ln.startswith("linear,") and "nan" not in ln]
-        assert len(linear_rows) == 1
-        gem_rows = [ln for ln in text.splitlines() if ln.startswith("gem,")]
-        assert gem_rows and gem_rows[0].endswith("nan,nan,nan")
+            monkeypatch.setattr(tr, "finetune", flaky)
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text("methods = linear, gem\nranks = 2\ntokens = 1\nseeds = 0\nepochs = 1\nbatch_size = 4\n")
+            out = tmp_path / "results.csv"
+            code = cli.main(["sweep", "--config", str(cfg), "--backbone",
+                             str(ws["bb"]), "--data", str(ws["tgt"]), "--out", str(out)])
+            assert code == want, error
+            text = out.read_text()
+            assert f"failed: {error}" in text
+            # the healthy cell still produced a metrics row
+            linear_rows = [ln for ln in text.splitlines()
+                           if ln.startswith("linear,") and "nan" not in ln]
+            assert len(linear_rows) == 1
+            gem_rows = [ln for ln in text.splitlines() if ln.startswith("gem,")]
+            assert gem_rows and gem_rows[0].endswith("nan,nan,nan")

@@ -150,8 +150,8 @@ class TestPrompt:
             part = geo.serialize(cloud, bconfig.voxel_size, bconfig.patch_size)
             x = rng.normal(size=(n, bconfig.d))
             pk, pv = rng.normal(size=(m, bconfig.d)), rng.normal(size=(m, bconfig.d))
-            mods = bb.AttnMods(prompt_k=ag.Tensor(pk), prompt_v=ag.Tensor(pv))
-            got = bb.local_attention(ag.Tensor(x), part, store, prefix, bconfig.heads, mods=mods)
+            prompts = (ag.Tensor(pk), ag.Tensor(pv))
+            got = bb.local_attention(ag.Tensor(x), part, store, prefix, bconfig.heads, prompts=prompts)
             want = prompt_attention_oracle(x, store, prefix, bconfig.heads, part, pk, pv)
             assert np.abs(got.data - want).max() <= 1e-10
 
@@ -406,7 +406,7 @@ class TestAttach:
 
     def test_sa_only_and_ca_only_split_hooks(self):
         _, _, _, sa = attached_model("gem_sa_only")
-        assert sa.attention_mods(0) is None
+        assert sa.attention_mods(0) == (None, None)
         assert sa.context_branch(ag.Tensor(np.zeros((2, 8))), 0, None) == (None, None)
         bconfig, store, _, ca = attached_model("gem_ca_only")
         assert ca.input_branch(ag.Tensor(np.zeros((2, 8))), None) is None
@@ -501,6 +501,13 @@ class TestPeftCheckpoint:
         assert loaded_config == pconfig
         got = run(cloud, bconfig, composed, loaded_attachment).logits.data
         np.testing.assert_array_equal(got, want)
+
+    def test_stencil_size_other_than_three_rejected(self):
+        cfg = peft.PeftConfig(method="gem").to_dict()
+        assert cfg["k"] == "3"
+        assert peft.PeftConfig.from_dict(cfg) == peft.PeftConfig(method="gem")
+        with pytest.raises(UsageError, match="stencil size is fixed at k=3"):
+            peft.PeftConfig.from_dict({**cfg, "k": "5"})
 
     def test_backbone_hash_mismatch_rejected(self, tmp_path):
         bconfig, store, pconfig, _ = attached_model("adapter", seed=21)

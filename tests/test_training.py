@@ -142,6 +142,42 @@ class TestStep:
         with pytest.raises(ContractError):
             tr.step(store, state)
 
+    def test_bind_moves_trainable_data_into_w(self):
+        store = self.make_store(np.random.default_rng(3))
+        before = store.byte_snapshot()
+        frozen = store["frozen"].data
+        state = tr.OptState(tr.TrainConfig())
+        state.bind(store.trainable_items())
+        assert state.w.size == store.trainable_count
+        for name, t in store.trainable_items():
+            assert np.shares_memory(t.data, state.w), name
+        assert store["frozen"].data is frozen and not np.shares_memory(frozen, state.w)
+        assert store.byte_snapshot() == before
+
+    def test_data_arrays_kept_across_steps(self):
+        store = self.make_store(np.random.default_rng(4))
+        state = tr.OptState(tr.TrainConfig(learning_rate=0.1))
+        state.bind(store.trainable_items())
+        arrays = {name: t.data for name, t in store.items()}
+        before = store.byte_snapshot()
+        for _ in range(3):
+            for _, t in store.trainable_items():
+                t.grad = np.ones_like(t.data)
+            step_on_grads(store, state)
+        assert all(store[name].data is data for name, data in arrays.items())
+        after = store.byte_snapshot()
+        assert [n for n in before if after[n] == before[n]] == ["frozen"]
+
+    def test_second_store_with_same_layout_rejected(self):
+        rng = np.random.default_rng(5)
+        store, other = self.make_store(rng), self.make_store(rng)
+        state = tr.OptState(tr.TrainConfig())
+        tr.step(store, state)
+        bound, before = store.byte_snapshot(), other.byte_snapshot()
+        with pytest.raises(ContractError):
+            tr.step(other, state)
+        assert store.byte_snapshot() == bound and other.byte_snapshot() == before
+
 
 class TestSchedule:
     def test_constant(self):
