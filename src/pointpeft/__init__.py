@@ -6,6 +6,7 @@ and the geometry mixer with its spatial and context adapters).
 """
 
 import os as _os
+import platform as _platform
 import sys as _sys
 
 # One BLAS thread per process, set before numpy loads.  Training splits its
@@ -19,6 +20,21 @@ if "numpy" not in _sys.modules:
     for _var in _BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, "1")
 _one_blas_thread = all(_os.environ.get(v) == "1" for v in _BLAS_THREAD_VARS)
+
+# Keep a training pass's memory for the next pass.  glibc returns the top of
+# the heap to the OS once a pass frees its graph, and the next pass faults
+# the same pages back in; a raised trim threshold keeps them mapped.  Raising
+# it also fixes the mmap threshold at 128 KiB, so a pass's larger arrays would
+# be mapped and unmapped each time; a raised mmap threshold takes them from
+# the heap too.  The settings hold for the whole importing process and the
+# helpers it forks; under other C libraries nothing is changed.
+if _platform.libc_ver()[0] == "glibc":
+    import ctypes as _ctypes
+
+    _mallopt = _ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (_ctypes.c_int, _ctypes.c_int), _ctypes.c_int
+    _mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's largest on 64-bit hosts
 
 from .autograd import (  # noqa: E402  (numpy must load after the settings above)
     ParamStore,

@@ -20,6 +20,12 @@ reductions are slow: a row sum over (36, 16, 16) logits takes three times
 as long as the exponential.  Row and column sums on the hot path are
 therefore BLAS mat-vec products with a vector of ones (`_row_sums`,
 `_col_sums`).
+
+A first gradient is stored as given, not copied: a leaf's ``grad`` may be
+the very array a backward passed on, shared with other nodes' gradients or
+a view of a larger one.  So no backward writes into the gradient it is
+given or into an array it has passed to `_accum`, and no code writes into
+a ``grad`` in place; accumulation always makes a new array.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ def _wrap(value) -> Tensor:
 def _accum(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
-    t.grad = np.array(g, dtype=np.float64) if t.grad is None else t.grad + g
+    t.grad = np.asarray(g, dtype=np.float64) if t.grad is None else t.grad + g
 
 
 _grad_enabled = True  # read by _node; only no_grad changes it
@@ -212,6 +218,14 @@ def gather_rows(a, index) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+def check_labels(y: Array, num_classes: int) -> None:
+    """Raise `DataError` unless every label lies in [0, num_classes)."""
+    if y.size and (y.min() < 0 or y.max() >= num_classes):
+        raise DataError(
+            f"label out of range [0, {num_classes}): saw {int(y.min())}..{int(y.max())}"
+        )
+
+
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels, stabilized."""
     logits = _wrap(logits)
@@ -221,8 +235,7 @@ def cross_entropy(logits, labels) -> Tensor:
     n, c = logits.data.shape
     if y.shape != (n,):
         raise ShapeError(f"labels shape {y.shape} does not match logits rows {n}")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        raise DataError(f"label out of range [0, {c}): saw {int(y.min())}..{int(y.max())}")
+    check_labels(y, c)
     z = logits.data
     zmax = z.max(axis=-1, keepdims=True)
     e = np.exp(z - zmax)

@@ -394,7 +394,7 @@ def _cmd_sweep(args, command: str) -> int:
 
     lines = [f"# cmd: {command}"]
     lines.append(f"# hash: {ag.config_hash({k: ','.join(map(str, v)) if isinstance(v, tuple) else v for k, v in cfg.items()})}")
-    lines.append("method,rank,tokens,sharing,seed,params_pct,miou,macc,allacc")
+    lines.append("method,rank,tokens,sharing,seed,params_pct,miou,macc,allacc,wall_time_s")
     worst = 0
     for pconfig in cells:
         pct = 100.0 * pf.trainable_fraction(pconfig, bconfig)
@@ -404,20 +404,21 @@ def _cmd_sweep(args, command: str) -> int:
                 f"{pconfig.sharing},{tconfig.seed}"
             )
             t0 = time.perf_counter()
-            miou = "nan"
+            failure = None
             try:
                 _store, _att, record = tr.finetune(
                     bstore, bconfig, pconfig, clouds, tconfig,
                     data_fraction=fraction, command=command,
                 )
                 last = record.epochs[-1]
-                miou = repr(last.miou)
-                lines.append(f"{prefix},{pct!r},{miou},{last.macc!r},{last.allacc!r}")
+                miou, rest = repr(last.miou), f"{last.macc!r},{last.allacc!r}"
             except Exception as exc:  # cell isolation: the sweep continues
-                lines.append(f"{prefix},{pct!r},nan,nan,nan")
-                lines.append(f"# cell {prefix} failed: {exc}")
+                miou, rest, failure = "nan", "nan,nan", f"# cell {prefix} failed: {exc}"
                 worst = max(worst, exc.exit_code if isinstance(exc, PointPeftError) else 2)
             wall = time.perf_counter() - t0
+            lines.append(f"{prefix},{pct!r},{miou},{rest},{wall:.3f}")
+            if failure:
+                lines.append(failure)
             print(f"cell {prefix}: miou {miou} in {wall:.3f} s", file=sys.stderr)
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")

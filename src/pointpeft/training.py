@@ -193,6 +193,7 @@ class ConfusionMatrix:
         self.mat = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def update(self, pred: Array, labels: Array) -> None:
+        ag.check_labels(labels, self.mat.shape[0])
         idx = labels * self.mat.shape[0] + pred
         self.mat += np.bincount(idx, minlength=self.mat.size).reshape(self.mat.shape)
 

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointpeft import autograd as ag
+from pointpeft import backbone as bb
+from pointpeft import peft as pf
+from pointpeft import training as tr
 from pointpeft.errors import ContractError, DataError, NumericError, ShapeError
 
 
@@ -422,3 +425,59 @@ class TestCheckpoint:
     def test_config_hash_is_order_independent(self):
         assert ag.config_hash({"a": 1, "b": 2}) == ag.config_hash({"b": 2, "a": 1})
         assert ag.config_hash({"a": 1}) != ag.config_hash({"a": 2})
+
+
+class TestGradientsAreNeverWritten:
+    """`_accum` keeps a first gradient without copying it, which is safe only
+    while no backward writes into the gradient it is given and no code
+    writes into a stored `grad`.  Here every gradient a node is given and
+    every stored `grad` is read-only, so any such write raises."""
+
+    @pytest.fixture(autouse=True)
+    def read_only_grads(self, monkeypatch):
+        accum, node = ag._accum, ag._node
+
+        def read_only_accum(t, g):
+            accum(t, g)
+            if t.grad is not None:
+                t.grad.flags.writeable = False
+
+        def read_only_node(data, parents, backward_fn):
+            def bwd(g):
+                g.flags.writeable = False
+                backward_fn(g)
+
+            return node(data, parents, bwd)
+
+        monkeypatch.setattr(ag, "_accum", read_only_accum)
+        monkeypatch.setattr(ag, "_node", read_only_node)
+        monkeypatch.setattr(tr, "_split_allowed", lambda attachment, bconfig: False)
+
+    BCONFIG = dict(
+        d=16, blocks=4, patch_size=8, heads=2, ffn_mult=2, num_classes=3,
+        in_channels=6, voxel_size=0.5, stages=((0, 2), (2, 4)),
+    )
+    TCONFIG = dict(epochs=1, batch_size=2, learning_rate=1e-2)
+
+    def clouds(self):
+        return tr.generate_dataset(tr.target_spec(points_per_class=12), 2, seed=3)
+
+    def test_plain_backbone_pass(self):
+        bconfig = bb.BackboneConfig(**self.BCONFIG)
+        store = bb.init_backbone(bconfig, 0)
+        cloud = self.clouds()[0]
+        (pc,) = tr.prepare([cloud], bconfig)
+        out = bb.forward(pc.cloud, pc.part, pc.nbr, None, store, bconfig)
+        ag.backward(ag.cross_entropy(out.logits, cloud.labels))
+        assert all(t.grad is not None and not t.grad.flags.writeable for _, t in store.items())
+
+    def test_pretrain(self):
+        tr.pretrain(self.clouds(), bb.BackboneConfig(**self.BCONFIG), tr.TrainConfig(**self.TCONFIG))
+
+    @pytest.mark.parametrize("method", pf.METHODS)
+    def test_finetune(self, method):
+        bconfig = bb.BackboneConfig(**self.BCONFIG)
+        pconfig = pf.PeftConfig(method=method, rank=2, tokens=2, sharing="per_stage")
+        tr.finetune(
+            bb.init_backbone(bconfig, 0), bconfig, pconfig, self.clouds(), tr.TrainConfig(**self.TCONFIG)
+        )

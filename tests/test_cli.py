@@ -5,6 +5,7 @@ generated datasets so individual tests stay fast.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ class TestEval:
         assert list(values)[-2:] == ["wall_time_s", "points_per_s"]  # after the metrics
         assert float(values["wall_time_s"]) > 0.0 and float(values["points_per_s"]) > 0.0
 
+    def test_out_of_range_labels_exit_one(self, ws, tmp_path, capsys):
+        """Labels the backbone has no class for end in a data error, not a traceback."""
+        spec = tmp_path / "wide.cfg"
+        wide = replace(tr.target_spec(points_per_class=8), labels=(0, 1, 2, 5))
+        spec.write_text(scene_spec_text(wide) + "\n")
+        data = tmp_path / "wide"
+        assert cli.main(["gen-data", "--spec", str(spec), "--out", str(data),
+                         "--count", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--backbone", str(ws["bb"]), "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: label out of range [0, 3): saw 0..5\n"
+        assert captured.out == ""
+
     def test_mismatched_backbone_hash_exits_two(self, ws, tmp_path, capsys):
         other = tmp_path / "other.ckpt"
         assert cli.main(["pretrain", "--data", str(ws["src"]), "--out", str(other),
@@ -339,20 +354,21 @@ class TestSweep:
                          str(ws["bb"]), "--data", str(ws["tgt"]),
                          "--out", str(out)]) == 0
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
-        assert lines[0] == "method,rank,tokens,sharing,seed,params_pct,miou,macc,allacc"
+        assert lines[0] == "method,rank,tokens,sharing,seed,params_pct,miou,macc,allacc,wall_time_s"
         rows = [ln.split(",") for ln in lines[1:]]
         assert len(rows) == (1 + 4) * 2
         for row in rows:
             assert 0.0 < float(row[5]) < 100.0
-            for v in row[6:]:
+            for v in row[6:9]:
                 assert 0.0 <= float(v) <= 1.0
+            assert float(row[9]) > 0.0
         captured = capsys.readouterr()
         assert "config hash: " in captured.out
         # one progress line per finished cell, in row order
         progress = captured.err.splitlines()
         assert [ln.split(":")[0] for ln in progress] == [f"cell {','.join(r[:5])}" for r in rows]
         for ln, row in zip(progress, rows):
-            assert f": miou {row[6]} in " in ln and ln.endswith(" s")
+            assert ln.endswith(f": miou {row[6]} in {row[9]} s")  # the row's own wall time
 
     @pytest.mark.parametrize(
         "key,value",
@@ -401,4 +417,5 @@ class TestSweep:
                            if ln.startswith("linear,") and "nan" not in ln]
             assert len(linear_rows) == 1
             gem_rows = [ln for ln in text.splitlines() if ln.startswith("gem,")]
-            assert gem_rows and gem_rows[0].endswith("nan,nan,nan")
+            assert gem_rows and gem_rows[0].split(",")[6:9] == ["nan"] * 3
+            assert float(gem_rows[0].split(",")[9]) >= 0.0  # a failed cell keeps its time

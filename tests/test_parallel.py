@@ -316,3 +316,17 @@ def test_parent_error_kills_a_busy_helper(monkeypatch):
     monkeypatch.setattr(tr, "_cloud_grads", interrupted)
     with pytest.raises(KeyboardInterrupt):
         tr.pretrain(clouds(4, seed=12), four_blocks(), tr.TrainConfig(epochs=1, batch_size=4))
+
+
+def test_out_of_range_labels_in_the_helpers_half_raise(monkeypatch):
+    """A standalone `evaluate` hands its second half to the helper; a label
+    the backbone has no class for there reaches the caller as a DataError."""
+    split(monkeypatch, True)
+    bconfig = four_blocks()
+    store = bb.init_backbone(bconfig, 0)
+    wide = replace(tr.target_spec(points_per_class=12), labels=(0, 1, 2, 5))
+    data = clouds(3, seed=3) + [tr.generate_dataset(wide, 1, seed=4)[0]]
+    prepared = tr.prepare(data, bconfig)
+    tr.evaluate(store, None, prepared[:2], bconfig)  # the parent's half alone is fine
+    with pytest.raises(DataError, match=r"label out of range \[0, 3\): saw 0\.\.5"):
+        tr.evaluate(store, None, prepared, bconfig)
