@@ -715,10 +715,19 @@ def config_hash(config: dict) -> str:
 
 
 def save_checkpoint(path, store: ParamStore, config: dict | None = None, command: str | None = None) -> None:
+    """Write `store` and `config` as text; names and entries the format
+    cannot hold (a line break, a tab in a name, `=` in a key, a leading `#`)
+    raise ContractError."""
     cfg = {str(k): str(v) for k, v in (config or {}).items()}
+    for name in store.names():
+        if name.startswith("#") or any(ch in name for ch in "\t\n\r"):
+            raise ContractError(f"parameter name {name!r} cannot be written to a checkpoint")
+    for k, v in cfg.items():
+        if k.startswith("#") or "=" in k or any(ch in k + v for ch in "\n\r"):
+            raise ContractError(f"config entry {k!r} cannot be written to a checkpoint")
     lines = []
     if command is not None:
-        lines.append(f"# cmd: {command}")
+        lines.append(f"# cmd: {' '.join(command.splitlines())}")
     lines.append(f"# hash: {config_hash(cfg)}")
     lines.append("[config]")
     for k in sorted(cfg):
@@ -733,9 +742,18 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None, command
 
 
 def load_checkpoint(path) -> tuple[dict, ParamStore]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in raw if not ln.startswith("#")]
+    """Read a `save_checkpoint` file; malformed content raises DataError.
+
+    Each record's value line is parsed by numpy's text reader in one call,
+    which takes plain ASCII decimals only (no `1_000`, no non-ASCII digits).
+    Records are parsed one at a time: the reader widens its input to four
+    bytes a character, so a whole file at once would hold four copies.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or lines[0] != "[config]":
         raise DataError(f"{path}: missing [config] block")
     config: dict[str, str] = {}
@@ -760,12 +778,19 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
         try:
             shape = tuple(int(s) for s in shape_csv.split(",")) if shape_csv else ()
             frozen = bool(int(frozen_flag))
-            values = np.asarray(lines[i + 1].split(), dtype=np.float64)
+            text = lines[i + 1]
+            values = (
+                np.loadtxt((text,), dtype=np.float64, comments=None, ndmin=1)
+                if text.strip()
+                else np.empty(0)
+            )
+            if any(s < 0 for s in shape) or values.size != math.prod(shape):
+                raise DataError(f"{path}: value count mismatch for {name}")
+            store.add(name, values.reshape(shape), frozen=frozen)
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed parameter record for {name}: {exc}") from exc
-        if any(s < 0 for s in shape) or values.size != int(np.prod(shape, dtype=np.int64)):
-            raise DataError(f"{path}: value count mismatch for {name}")
-        store.add(name, values.reshape(shape), frozen=frozen)
+        except ContractError as exc:  # the name appeared before
+            raise DataError(f"{path}: {exc}") from exc
         i += 2
     return config, store
 

@@ -412,9 +412,9 @@ def _cmd_sweep(args, command: str) -> int:
                 )
                 last = record.epochs[-1]
                 miou, rest = repr(last.miou), f"{last.macc!r},{last.allacc!r}"
-            except Exception as exc:  # cell isolation: the sweep continues
+            except PointPeftError as exc:  # cell isolation; any other error is a bug
                 miou, rest, failure = "nan", "nan,nan", f"# cell {prefix} failed: {exc}"
-                worst = max(worst, exc.exit_code if isinstance(exc, PointPeftError) else 2)
+                worst = max(worst, exc.exit_code)
             wall = time.perf_counter() - t0
             lines.append(f"{prefix},{pct!r},{miou},{rest},{wall:.3f}")
             if failure:

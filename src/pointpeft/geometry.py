@@ -7,7 +7,6 @@ deterministic synthetic scene generator over labeled geometric primitives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,8 @@ class PointCloud:
             raise DataError("point cloud must contain at least one point")
         if not np.isfinite(self.coords).all():
             raise DataError("coords must be finite")
+        if self.num_classes < 0:
+            raise DataError(f"num_classes must be >= 0, got {self.num_classes}")
         if self.feats.shape[0] != self.n:
             raise DataError(
                 f"feats rows {self.feats.shape[0]} disagree with n={self.n}"
@@ -152,18 +153,18 @@ def stencil_offsets(k: int = 3) -> Array:
     """The k^3 integer offsets of a centered stencil, in base-k slot order."""
     if k % 2 == 0 or k < 1:
         raise UsageError(f"stencil size must be a positive odd integer, got {k}")
-    half = k // 2
-    return np.array(
-        list(itertools.product(range(-half, half + 1), repeat=3)), dtype=np.int64
-    )
+    return np.indices((k, k, k)).reshape(3, -1).T - k // 2
 
 
 @dataclass(frozen=True)
 class NeighborIndex:
     """Per-voxel stencil adjacency with a point-to-voxel assignment.
 
+    Voxel ids follow the lexicographic order of the voxel keys.
     neighbor_voxels[v, s] is the voxel id found at stencil offset s from voxel
-    v, or -1 when that voxel is empty.  Point-level neighbor lists are derived:
+    v, or -1 when that voxel is empty.  The points of voxel v are
+    point_order[voxel_starts[v]:voxel_starts[v + 1]], in input order.
+    Point-level neighbor lists are derived:
     neighbors(i, o) = points of the voxel at key(i) + o.
     """
 
@@ -171,12 +172,19 @@ class NeighborIndex:
     k: int
     offsets: Array  # (k^3, 3)
     voxel_of_point: Array  # (n,) voxel id per point
-    voxel_points: tuple[Array, ...]  # point indices per voxel id
+    point_order: Array  # (n,) point indices sorted by voxel id
+    voxel_starts: Array  # (num_voxels + 1,) run boundaries in point_order
     neighbor_voxels: Array  # (num_voxels, k^3)
 
     @property
     def num_voxels(self) -> int:
-        return len(self.voxel_points)
+        return self.neighbor_voxels.shape[0]
+
+    @property
+    def voxel_points(self) -> tuple[Array, ...]:
+        """Point indices per voxel id, as views of `point_order`."""
+        s = self.voxel_starts
+        return tuple(self.point_order[a:b] for a, b in zip(s[:-1], s[1:]))
 
     def slot(self, offset) -> int:
         half = self.k // 2
@@ -191,55 +199,57 @@ class NeighborIndex:
         v = self.neighbor_voxels[self.voxel_of_point[i], self.slot(offset)]
         if v < 0:
             return np.empty(0, dtype=np.int64)
-        return self.voxel_points[v]
-
-
-def _pack_keys(occupied: Array, keys: Array) -> tuple[Array, Array]:
-    """One int64 per key row, ordered like the rows; False where a key has a
-    coordinate no occupied voxel shares (no voxel can match it).
-
-    Each axis is replaced by its rank among the occupied coordinates on
-    that axis, so the packed value stays below V^3 for V occupied voxels.
-    """
-    packed = np.zeros(keys.shape[0], dtype=np.int64)
-    present = np.ones(keys.shape[0], dtype=bool)
-    span = 1
-    for axis in range(3):
-        values = np.unique(occupied[:, axis])
-        rank = np.minimum(np.searchsorted(values, keys[:, axis]), values.size - 1)
-        present &= values[rank] == keys[:, axis]
-        packed = packed * values.size + rank
-        span *= values.size
-    if span > np.iinfo(np.int64).max:
-        raise DataError(f"{occupied.shape[0]} occupied voxels are too many to pack into int64")
-    return packed, present
+        return self.point_order[self.voxel_starts[v] : self.voxel_starts[v + 1]]
 
 
 def build_neighbor_index(cloud: PointCloud, voxel_size: float, k: int = 3) -> NeighborIndex:
-    """Index each point's k^3 stencil of vicinity voxels."""
+    """Index each point's k^3 stencil of vicinity voxels.
+
+    Each voxel key is packed into one int64: every axis is replaced by its
+    rank among the distinct coordinates on that axis, so the packed value
+    stays below V^3 for V occupied voxels and sorts like the key rows.  All
+    k^3 neighbors are then found with one `searchsorted`.
+    """
     offsets = stencil_offsets(k)
     keys = voxel_keys(cloud.coords, voxel_size)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    by_voxel = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=uniq.shape[0])
-    ends = np.cumsum(counts)
-    voxel_points = tuple(by_voxel[a:b] for a, b in zip(ends - counts, ends))
-    num_voxels = uniq.shape[0]
-    wanted = (uniq[:, None, :] + offsets).reshape(-1, 3)
-    packed, present = _pack_keys(uniq, np.concatenate([uniq, wanted]))
-    occupied, wanted, present = packed[:num_voxels], packed[num_voxels:], present[num_voxels:]
-    # `occupied` ascends, as `uniq` is sorted row by row
+    axes = [np.unique(keys[:, a], return_inverse=True) for a in range(3)]
+    (v0, r0), (v1, r1), (v2, r2) = axes
+    if v0.size * v1.size * v2.size > np.iinfo(np.int64).max:
+        raise DataError(f"{cloud.n} points span too many voxels to pack into int64")
+    packed = (r0 * v1.size + r1) * v2.size + r2
+    point_order = np.argsort(packed, kind="stable")
+    ordered = packed[point_order]
+    first = np.empty(cloud.n, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    voxel_of_point = np.empty(cloud.n, dtype=np.int64)
+    voxel_of_point[point_order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    occupied = ordered[starts]  # ascending
+    num_voxels = starts.size
+    # per axis and voxel: the rank its coordinate moves to at each stencil
+    # step, -1 where no point has that coordinate
+    steps = np.arange(k, dtype=np.int64) - k // 2
+    first_points = point_order[starts]
+    moved = []
+    for values, rank in axes:
+        target = values[:, None] + steps
+        to = np.minimum(np.searchsorted(values, target), values.size - 1)
+        moved.append(np.where(values[to] == target, to, -1)[rank[first_points]])
+    m0, m1, m2 = moved
+    wanted = (m0[:, :, None, None] * v1.size + m1[:, None, :, None]) * v2.size + m2[:, None, None, :]
+    known = (m0 >= 0)[:, :, None, None] & (m1 >= 0)[:, None, :, None] & (m2 >= 0)[:, None, None, :]
+    wanted = wanted.reshape(num_voxels, -1)
     slot = np.minimum(np.searchsorted(occupied, wanted), num_voxels - 1)
-    found = present & (occupied[slot] == wanted)
-    neighbor_voxels = np.where(found, slot, -1).reshape(num_voxels, offsets.shape[0])
+    found = known.reshape(num_voxels, -1) & (occupied[slot] == wanted)
     return NeighborIndex(
         num_points=cloud.n,
         k=k,
         offsets=offsets,
-        voxel_of_point=inverse,
-        voxel_points=voxel_points,
-        neighbor_voxels=neighbor_voxels,
+        voxel_of_point=voxel_of_point,
+        point_order=point_order,
+        voxel_starts=np.append(starts, cloud.n),
+        neighbor_voxels=np.where(found, slot, -1),
     )
 
 
@@ -374,7 +384,12 @@ def generate_scene(seed: int, spec: SceneSpec) -> PointCloud:
 
 
 def save_cloud(path, cloud: PointCloud) -> None:
-    """One point per line `x y z f1 .. fc label`, label -1 when unannotated."""
+    """One point per line `x y z f1 .. fc label`, label -1 when unannotated.
+
+    Non-finite features raise DataError, as `load_cloud` would refuse them.
+    """
+    if not np.isfinite(cloud.feats).all():
+        raise DataError("non-finite features cannot be written to a cloud file")
     lines = [f"#points {cloud.n} channels {cloud.c} classes {cloud.num_classes}"]
     labels = cloud.labels if cloud.labels is not None else np.full(cloud.n, -1)
     for i in range(cloud.n):
@@ -387,29 +402,43 @@ def save_cloud(path, cloud: PointCloud) -> None:
 
 
 def load_cloud(path) -> PointCloud:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or not raw[0].startswith("#points"):
+    """Read a `save_cloud` file; malformed content raises DataError.
+
+    The point rows are parsed by numpy's text reader in one call, which
+    takes plain ASCII decimals only (no `1_000`, no non-ASCII digits).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = [ln for ln in fh if not ln.isspace()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not raw or not raw[0].lstrip().startswith("#points"):
         raise DataError(f"{path}: missing '#points n channels c classes C' header")
-    head = raw[0].split()
+    header = raw[0].strip()
+    head = header.split()
     try:
         n, c, num_classes = int(head[1]), int(head[3]), int(head[5])
     except (IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed header {raw[0]!r}") from exc
+        raise DataError(f"{path}: malformed header {header!r}") from exc
     body = raw[1:]
     if n < 1:
         raise DataError(f"{path}: header says {n} points; a cloud needs at least one")
+    if c < 0:
+        raise DataError(f"{path}: negative channel count in {header!r}")
     if len(body) != n:
         raise DataError(f"{path}: header says {n} points, found {len(body)} lines")
     try:
-        rows = np.array([[float(v) for v in ln.split()] for ln in body])
+        rows = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
     except ValueError as exc:  # a non-numeric value, or rows of unequal length
         raise DataError(f"{path}: malformed point rows: {exc}") from exc
     if rows.shape[1] != 3 + c + 1:
         raise DataError(f"{path}: expected {3 + c + 1} columns, got {rows.shape[1]}")
     if not np.isfinite(rows).all():
         raise DataError(f"{path}: non-finite value in point rows")
-    labels = rows[:, -1].astype(np.int64)
+    labels = rows[:, -1]
+    if (labels != np.floor(labels)).any() or labels.min() < -1 or labels.max() >= num_classes:
+        raise DataError(f"{path}: labels must be integers in [-1, {num_classes})")
+    labels = labels.astype(np.int64)
     return PointCloud(
         coords=rows[:, :3],
         feats=rows[:, 3 : 3 + c],

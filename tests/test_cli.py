@@ -13,7 +13,7 @@ import pytest
 import pointpeft.cli as cli
 import pointpeft.instrumentation as ins
 import pointpeft.training as tr
-from pointpeft.errors import NumericError
+from pointpeft.errors import DataError, NumericError
 from pointpeft.geometry import scene_spec_text
 
 
@@ -390,11 +390,11 @@ class TestSweep:
         assert not out.exists()
 
     def test_cell_failure_recorded_and_exit_reflects_worst(self, ws, tmp_path, monkeypatch):
-        """A typed error exits with its own code, any other exception with 2."""
+        """A typed error exits with its own code."""
         real = tr.finetune
         cases = [
             (NumericError("loss diverged to nan at epoch 0"), 3),
-            (RuntimeError("loss diverged in an untyped way"), 2),
+            (DataError("labels outside [0, 3) in annotated cloud"), 1),
         ]
         for error, want in cases:
 
@@ -419,3 +419,19 @@ class TestSweep:
             gem_rows = [ln for ln in text.splitlines() if ln.startswith("gem,")]
             assert gem_rows and gem_rows[0].split(",")[6:9] == ["nan"] * 3
             assert float(gem_rows[0].split(",")[9]) >= 0.0  # a failed cell keeps its time
+
+    def test_untyped_error_in_a_cell_surfaces(self, ws, tmp_path, monkeypatch):
+        """An exception outside PointPeftError is a bug: it ends the sweep
+        with its traceback instead of becoming a row of nan."""
+
+        def broken(*a, **kw):
+            raise RuntimeError("loss diverged in an untyped way")
+
+        monkeypatch.setattr(tr, "finetune", broken)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("methods = linear\nseeds = 0\nepochs = 1\n")
+        out = tmp_path / "results.csv"
+        with pytest.raises(RuntimeError, match="untyped way"):
+            cli.main(["sweep", "--config", str(cfg), "--backbone",
+                      str(ws["bb"]), "--data", str(ws["tgt"]), "--out", str(out)])
+        assert not out.exists()

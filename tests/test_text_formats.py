@@ -1,0 +1,261 @@
+"""Property tests of the cloud and checkpoint text formats.
+
+Whatever `save_cloud` or `save_checkpoint` writes loads back bitwise, and
+mutated text either loads as a valid object or raises DataError; no other
+exception reaches the caller.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from pointpeft import autograd as ag
+from pointpeft import backbone as bb
+from pointpeft import geometry as geo
+from pointpeft.errors import ContractError, DataError
+
+# each example rewrites one file under the test's tmp_path
+FUZZ = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# Pieces a mutation splices into saved text: separators, signs, exponents,
+# header words, numbers at and past the edges, and tokens that float()
+# takes but the loaders refuse.
+PIECES = (
+    list(" \t\n.-+eE#=,_[]x0123456789")
+    + ["nan", "inf", "-1", "1e999", "5e-324", "99999999999999999999", "1_000", "١٢"]
+    + ["\u00a0", "\u2003", "\x00", "\x0c", "#points", "channels", "classes"]
+    + ["[config]", "[params]", "\t0\t", ",", "0,3"]
+)
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(1, 8))
+    c = draw(st.integers(0, 3))
+    coords = draw(arrays(np.float64, (n, 3), elements=finite))
+    feats = draw(arrays(np.float64, (n, c), elements=finite))
+    num_classes = draw(st.integers(0, 4))
+    labels = None
+    if num_classes and draw(st.booleans()):
+        labels = draw(arrays(np.int64, (n,), elements=st.integers(0, num_classes - 1)))
+    return geo.PointCloud(coords=coords, feats=feats, labels=labels, num_classes=num_classes)
+
+
+# names and config entries the checkpoint format can hold
+names = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"), max_size=6).filter(
+    lambda s: not s.startswith("#")
+)
+keys = st.text(st.characters(codec="utf-8", exclude_characters="=\n\r"), max_size=6).filter(
+    lambda s: not s.startswith("#")
+)
+values = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=6)
+
+
+@st.composite
+def stores(draw):
+    store = ag.ParamStore()
+    for name in draw(st.lists(names, max_size=4, unique=True)):
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        data = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
+        store.add(name, data, frozen=draw(st.booleans()))
+    return store, draw(st.dictionaries(keys, values, max_size=3))
+
+
+@st.composite
+def mutations(draw):
+    """Up to four edits: (position as a fraction of the text, cut length, piece)."""
+    edit = st.tuples(
+        st.floats(0.0, 1.0), st.integers(0, 3), st.sampled_from(PIECES) | st.just("")
+    )
+    return draw(st.lists(edit, min_size=1, max_size=4))
+
+
+def mutate(text: str, edits) -> str:
+    for where, cut, piece in edits:
+        at = int(where * len(text))
+        text = text[:at] + piece + text[at + cut :]
+    return text
+
+
+def load_or_none(load, path):
+    """The loaded object, or None when the loader raised DataError."""
+    try:
+        return load(path)
+    except DataError:
+        return None
+
+
+def assert_same_store(got, want):
+    assert got.names() == want.names()
+    for name, t in want.items():
+        assert got[name].shape == t.shape
+        assert got[name].data.tobytes() == t.data.tobytes()
+        assert got.frozen(name) == want.frozen(name)
+
+
+class TestCloudText:
+    @FUZZ
+    @given(cloud=clouds())
+    def test_round_trip_bitwise(self, tmp_path, cloud):
+        path = tmp_path / "cloud.txt"
+        geo.save_cloud(path, cloud)
+        got = geo.load_cloud(path)
+        assert got.coords.tobytes() == cloud.coords.tobytes()
+        assert got.feats.shape == cloud.feats.shape
+        assert got.feats.tobytes() == cloud.feats.tobytes()
+        assert got.num_classes == cloud.num_classes
+        if cloud.labels is None:
+            assert got.labels is None
+        else:
+            assert got.labels.tobytes() == cloud.labels.tobytes()
+
+    @FUZZ
+    @given(cloud=clouds(), edits=mutations())
+    def test_mutated_text_loads_or_raises_data_error(self, tmp_path, cloud, edits):
+        path = tmp_path / "cloud.txt"
+        geo.save_cloud(path, cloud)
+        path.write_text(mutate(path.read_text(), edits), encoding="utf-8")
+        got = load_or_none(geo.load_cloud, path)
+        if got is not None:
+            assert np.isfinite(got.coords).all() and np.isfinite(got.feats).all()
+            assert got.feats.shape[0] == got.n
+            if got.labels is not None:
+                assert 0 <= got.labels.min() and got.labels.max() < got.num_classes
+
+    @FUZZ
+    @given(cloud=clouds(), at=st.floats(0.0, 1.0), junk=st.binary(min_size=1, max_size=3))
+    def test_mutated_bytes_load_or_raise_data_error(self, tmp_path, cloud, at, junk):
+        path = tmp_path / "cloud.txt"
+        geo.save_cloud(path, cloud)
+        raw = path.read_bytes()
+        cut = int(at * len(raw))
+        path.write_bytes(raw[:cut] + junk + raw[cut:])
+        load_or_none(geo.load_cloud, path)
+
+    def test_non_finite_features_are_not_written(self, tmp_path):
+        cloud = geo.PointCloud(coords=np.zeros((1, 3)), feats=np.array([[np.inf]]))
+        with pytest.raises(DataError):
+            geo.save_cloud(tmp_path / "cloud.txt", cloud)
+        assert not (tmp_path / "cloud.txt").exists()
+
+    # float() takes these; numpy's reader, which parses the rows, does not
+    @pytest.mark.parametrize(
+        "token",
+        ["1_000", "١٢", "１２"],
+        ids=["underscore", "arabic-indic-digits", "fullwidth-digits"],
+    )
+    def test_tokens_float_takes_raise_data_error(self, tmp_path, token):
+        path = tmp_path / "cloud.txt"
+        path.write_text(f"#points 1 channels 1 classes 1\n0 0 0 {token} 0\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            geo.load_cloud(path)
+
+    @pytest.mark.parametrize(
+        "space", ["\u00a0", "\u2003", "\x0c"], ids=["no-break-space", "em-space", "form-feed"]
+    )
+    def test_any_whitespace_separates_values(self, tmp_path, space):
+        """The reader splits on what str.split() splits on."""
+        path = tmp_path / "cloud.txt"
+        path.write_text(f"#points 1 channels 1 classes 1\n0 0{space}0 1.5 0\n", encoding="utf-8")
+        assert geo.load_cloud(path).feats.tolist() == [[1.5]]
+
+    def test_non_integer_label_raises_data_error(self, tmp_path):
+        path = tmp_path / "cloud.txt"
+        path.write_text("#points 1 channels 1 classes 3\n0 0 0 1.0 1.5\n")
+        with pytest.raises(DataError):
+            geo.load_cloud(path)
+
+
+class TestCheckpointText:
+    @FUZZ
+    @given(entry=stores())
+    def test_round_trip_bitwise(self, tmp_path, entry):
+        store, config = entry
+        path = tmp_path / "m.ckpt"
+        ag.save_checkpoint(path, store, config, command="pointpeft 'a\nb'")
+        got_config, got = ag.load_checkpoint(path)
+        assert got_config == config
+        assert_same_store(got, store)
+
+    @FUZZ
+    @given(entry=stores(), edits=mutations())
+    def test_mutated_text_loads_or_raises_data_error(self, tmp_path, entry, edits):
+        store, config = entry
+        path = tmp_path / "m.ckpt"
+        ag.save_checkpoint(path, store, config)
+        path.write_text(mutate(path.read_text(encoding="utf-8"), edits), encoding="utf-8")
+        got = load_or_none(ag.load_checkpoint, path)
+        if got is not None:
+            got_config, got_store = got
+            assert all(isinstance(k, str) and isinstance(v, str) for k, v in got_config.items())
+            for _, t in got_store.items():
+                assert t.data.dtype == np.float64
+
+    @FUZZ
+    @given(entry=stores(), at=st.floats(0.0, 1.0), junk=st.binary(min_size=1, max_size=3))
+    def test_mutated_bytes_load_or_raise_data_error(self, tmp_path, entry, at, junk):
+        store, config = entry
+        path = tmp_path / "m.ckpt"
+        ag.save_checkpoint(path, store, config)
+        raw = path.read_bytes()
+        cut = int(at * len(raw))
+        path.write_bytes(raw[:cut] + junk + raw[cut:])
+        load_or_none(ag.load_checkpoint, path)
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [("#w", {}), ("a\tb", {}), ("a\nb", {}), ("w", {"k=1": "v"}), ("w", {"#k": "v"}), ("w", {"k": "a\rb"})],
+        ids=["comment-name", "tab-name", "newline-name", "equals-key", "comment-key", "newline-value"],
+    )
+    def test_unwritable_entries_raise_contract_error(self, tmp_path, name, config):
+        store = ag.ParamStore()
+        store.add(name, np.zeros(2))
+        with pytest.raises(ContractError):
+            ag.save_checkpoint(tmp_path / "m.ckpt", store, config)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_repeated_name_raises_data_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_text("[config]\n[params]\nw\t1\t0\n1.0\nw\t1\t0\n2.0\n")
+        with pytest.raises(DataError):
+            ag.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_000", "١٢", "１２"],
+        ids=["underscore", "arabic-indic-digits", "fullwidth-digits"],
+    )
+    def test_tokens_float_takes_raise_data_error(self, tmp_path, token):
+        path = tmp_path / "m.ckpt"
+        path.write_text(f"[config]\n[params]\nw\t2\t0\n1.0 {token}\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            ag.load_checkpoint(path)
+
+    def test_load_peak_memory_stays_near_the_file_size(self, tmp_path):
+        """Parsing record by record keeps the tracemalloc peak under 2.5x the
+        file's bytes at the acceptance config; numpy's reader widens its
+        input to 4 bytes a character, so one joined string would pass 7x."""
+        bconfig = bb.BackboneConfig(d=32, blocks=4, heads=4, patch_size=16, num_classes=3, voxel_size=0.5)
+        store = bb.init_backbone(bconfig, seed=0)
+        assert len(store.names()) == 74 and store.total_count == 52387
+        path = tmp_path / "backbone.ckpt"
+        bb.save_backbone(path, store, bconfig)
+        ag.load_checkpoint(path)  # first-call allocations belong to numpy, not the loader
+        tracemalloc.start()
+        try:
+            ag.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * os.path.getsize(path)
