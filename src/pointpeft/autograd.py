@@ -702,8 +702,13 @@ def named_rng(seed: int, *names: str) -> np.random.Generator:
 # checkpoint container
 
 # One record per parameter: `name<TAB>shape(csv)<TAB>frozen(0|1)` followed by
-# one line of space-separated decimals at full round-trip precision. A
-# key=value config block sits at the top and is hashed for provenance.
+# one line holding the hex of the values' bytes: 16 lowercase hex digits per
+# value, IEEE-754 binary64, little-endian, no separators (empty for an empty
+# record). Hex is exact and needs no decimal conversion, which took most of
+# a backbone's load and save time. A key=value config block sits at the top
+# and is hashed for provenance.
+
+HEX_DIGITS_PER_VALUE = 16
 
 
 def canonical_config_text(config: dict) -> str:
@@ -714,10 +719,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_config_text(config).encode("utf-8")).hexdigest()
 
 
+def cmd_comment(command: str) -> str:
+    """The `# cmd:` comment line an artifact opens with; line breaks in the
+    command fold into spaces, so the comment stays one line."""
+    return f"# cmd: {' '.join(command.splitlines())}"
+
+
 def save_checkpoint(path, store: ParamStore, config: dict | None = None, command: str | None = None) -> None:
-    """Write `store` and `config` as text; names and entries the format
-    cannot hold (a line break, a tab in a name, `=` in a key, a leading `#`)
-    raise ContractError."""
+    """Write `store` and `config` as text, each record's values as the hex of
+    their little-endian binary64 bytes; names and entries the format cannot
+    hold (a line break, a tab in a name, `=` in a key, a leading `#`) raise
+    ContractError."""
     cfg = {str(k): str(v) for k, v in (config or {}).items()}
     for name in store.names():
         if name.startswith("#") or any(ch in name for ch in "\t\n\r"):
@@ -727,7 +739,7 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None, command
             raise ContractError(f"config entry {k!r} cannot be written to a checkpoint")
     lines = []
     if command is not None:
-        lines.append(f"# cmd: {' '.join(command.splitlines())}")
+        lines.append(cmd_comment(command))
     lines.append(f"# hash: {config_hash(cfg)}")
     lines.append("[config]")
     for k in sorted(cfg):
@@ -736,7 +748,7 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None, command
     for name, t in store.items():
         shape_csv = ",".join(str(s) for s in t.shape)
         lines.append(f"{name}\t{shape_csv}\t{int(store.frozen(name))}")
-        lines.append(" ".join(repr(float(v)) for v in t.data.ravel()))
+        lines.append(t.data.astype("<f8").tobytes().hex())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -744,10 +756,10 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None, command
 def load_checkpoint(path) -> tuple[dict, ParamStore]:
     """Read a `save_checkpoint` file; malformed content raises DataError.
 
-    Each record's value line is parsed by numpy's text reader in one call,
-    which takes plain ASCII decimals only (no `1_000`, no non-ASCII digits).
-    Records are parsed one at a time: the reader widens its input to four
-    bytes a character, so a whole file at once would hold four copies.
+    A record's value line must hold exactly 16 hex digits per value (either
+    letter case) and nothing else; `bytearray.fromhex` decodes it, and the
+    arrays are views of those writable buffers. A decimal value line, the
+    encoding before hex, is refused with a DataError like any other line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -779,13 +791,21 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
             shape = tuple(int(s) for s in shape_csv.split(",")) if shape_csv else ()
             frozen = bool(int(frozen_flag))
             text = lines[i + 1]
-            values = (
-                np.loadtxt((text,), dtype=np.float64, comments=None, ndmin=1)
-                if text.strip()
-                else np.empty(0)
-            )
-            if any(s < 0 for s in shape) or values.size != math.prod(shape):
-                raise DataError(f"{path}: value count mismatch for {name}")
+            if any(s < 0 for s in shape):
+                raise DataError(f"{path}: negative shape {shape_csv} for {name}")
+            count = math.prod(shape)
+            values = _hex_values(text, count)
+            if values is None:
+                why = (
+                    "; it holds decimals, the encoding before hex: re-run `pointpeft pretrain`"
+                    " (and `finetune`) to rewrite the checkpoint"
+                    if "." in text
+                    else ""
+                )
+                raise DataError(
+                    f"{path}: the value line of {name} must hold {count} values as "
+                    f"{HEX_DIGITS_PER_VALUE} hex digits each (IEEE-754 binary64, little-endian){why}"
+                )
             store.add(name, values.reshape(shape), frozen=frozen)
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed parameter record for {name}: {exc}") from exc
@@ -793,6 +813,19 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
             raise DataError(f"{path}: {exc}") from exc
         i += 2
     return config, store
+
+
+def _hex_values(text: str, count: int) -> Array | None:
+    """The `count` doubles a value line holds, or None if it holds anything else."""
+    if len(text) != HEX_DIGITS_PER_VALUE * count:
+        return None
+    try:
+        raw = bytearray.fromhex(text)
+    except ValueError:  # a digit that is not hex
+        return None
+    if len(raw) * 2 != len(text):  # fromhex skips ASCII whitespace
+        return None
+    return np.frombuffer(raw, "<f8")
 
 
 def validate_store_layout(store: ParamStore, expected: dict[str, tuple[int, ...]]) -> None:

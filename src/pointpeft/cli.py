@@ -190,7 +190,7 @@ def _load_model(args) -> tuple[bb.BackboneConfig, ag.ParamStore, pf.PeftAttachme
 
 def _write_artifact(path, body: str, command: str, config_hash: str) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# cmd: {command}\n# hash: {config_hash}\n{body}")
+        fh.write(f"{ag.cmd_comment(command)}\n# hash: {config_hash}\n{body}")
 
 
 def _write_records(args, record: tr.RunRecord, command: str) -> None:
@@ -392,7 +392,7 @@ def _cmd_sweep(args, command: str) -> int:
     clouds = tr.load_dataset(args.data)
     cells = expand_sweep_cells(cfg, bconfig)
 
-    lines = [f"# cmd: {command}"]
+    lines = [ag.cmd_comment(command)]
     lines.append(f"# hash: {ag.config_hash({k: ','.join(map(str, v)) if isinstance(v, tuple) else v for k, v in cfg.items()})}")
     lines.append("method,rank,tokens,sharing,seed,params_pct,miou,macc,allacc,wall_time_s")
     worst = 0

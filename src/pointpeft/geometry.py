@@ -7,6 +7,7 @@ deterministic synthetic scene generator over labeled geometric primitives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,8 +282,10 @@ class SceneSpec:
                 raise UsageError(f"unknown primitive {name!r}; choose from {SHAPE_NAMES}")
         if self.points_per_class < 1:
             raise UsageError("points_per_class must be >= 1")
-        if self.noise_sigma < 0:
-            raise UsageError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise UsageError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise UsageError(f"scale must be finite and > 0, got {self.scale!r}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(range(len(self.classes))))
         if len(self.labels) != len(self.classes):

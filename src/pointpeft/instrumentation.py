@@ -109,7 +109,7 @@ def dump_attention(
     bb.forward(cloud, part, pc.nbr, attachment, store, bconfig, tracer=tracer)
     lines = []
     if command:
-        lines.append(f"# cmd: {command}")
+        lines.append(ag.cmd_comment(command))
     lines.append(f"# hash: {ag.config_hash({**bconfig.to_dict(), **attachment.config.to_dict()})}")
     lines.append("token_id,point_id,weight")
     for block in attachment.config.active_blocks(bconfig.blocks):

@@ -260,7 +260,7 @@ def write_dataset(out_dir, spec: SceneSpec, count: int, seed: int, command: str 
         names.append((name, int(s)))
     lines = []
     if command:
-        lines.append(f"# cmd: {command}")
+        lines.append(ag.cmd_comment(command))
     lines.append(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}")
     lines.append(f"spec-hash {spec_hash}")
     lines += [f"{name} {s}" for name, s in names]

@@ -405,21 +405,50 @@ class TestCheckpoint:
             ag.validate_store_layout(loaded, {"w": (4, 1)})
         ag.validate_store_layout(loaded, {"w": (2, 2)})
 
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """Value lines are the little-endian binary64 bytes in lowercase hex."""
+        store = ag.ParamStore()
+        store.add("edge", np.array([-0.0, 5e-324, np.inf, -2.5]))
+        store.add("empty", np.zeros((2, 0)), frozen=True)
+        store.add("scalar", np.array(1.5))
+        path = tmp_path / "m.ckpt"
+        ag.save_checkpoint(path, store, {"d": 2}, command="pointpeft pretrain\n--out m.ckpt")
+        assert path.read_bytes() == (
+            b"# cmd: pointpeft pretrain --out m.ckpt\n"
+            b"# hash: b5fcb25063186bff92bf279c748810fe3eee1b39f7a77da300dd3661abf708ab\n"
+            b"[config]\n"
+            b"d=2\n"
+            b"[params]\n"
+            b"edge\t4\t0\n"
+            b"0000000000000080" b"0100000000000000" b"000000000000f07f" b"00000000000004c0\n"
+            b"empty\t2,0\t1\n"
+            b"\n"
+            b"scalar\t1\t0\n"  # Tensor data is at least 1-d, so a 0-d value is saved as shape 1
+            b"000000000000f83f\n"
+        )
+        _, loaded = ag.load_checkpoint(path)
+        assert loaded.names() == store.names()
+        for name, t in store.items():
+            assert loaded[name].shape == t.shape
+            assert loaded[name].data.tobytes() == t.data.tobytes()
+            assert loaded[name].data.flags.writeable
+
+    # 1.0 and 2.0 as hex value lines: each record fails on its own field
     @pytest.mark.parametrize(
-        "record",
+        "record, reason",
         [
-            "w\t2,x\t0\n1.0 2.0\n",  # a non-integer shape field
-            "w\t2\t0\n",  # a header with no value line
-            "w\t2\t0\n1.0 two\n",  # a non-numeric value
-            "w\t2\tyes\n1.0 2.0\n",  # a non-integer frozen flag
-            "w\t-1,-2\t0\n1.0 2.0\n",  # a negative shape
+            ("w\t2,x\t0\n000000000000f03f0000000000000040\n", "invalid literal for int"),
+            ("w\t2\t0\n", "index out of range"),
+            ("w\t2\t0\n000000000000f03f000000000000004g\n", "hex digits"),
+            ("w\t2\tyes\n000000000000f03f0000000000000040\n", "invalid literal for int"),
+            ("w\t-1,-2\t0\n000000000000f03f0000000000000040\n", "negative shape"),
         ],
         ids=["shape", "truncated", "value", "frozen-flag", "negative-shape"],
     )
-    def test_malformed_record_raises_data_error(self, tmp_path, record):
+    def test_malformed_record_raises_data_error(self, tmp_path, record, reason):
         path = tmp_path / "m.ckpt"
         path.write_text("[config]\nd=2\n[params]\n" + record)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=reason):
             ag.load_checkpoint(path)
 
     def test_config_hash_is_order_independent(self):

@@ -435,3 +435,44 @@ class TestSweep:
             cli.main(["sweep", "--config", str(cfg), "--backbone",
                       str(ws["bb"]), "--data", str(ws["tgt"]), "--out", str(out)])
         assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["newline", "carriage-return"])
+class TestLineBreakInCommand:
+    """A quoted argument with a line break reaches the command every artifact
+    embeds; its `# cmd:` comment must stay one line so the artifact loads."""
+
+    def test_dataset_manifest(self, ws, tmp_path, brk):
+        out = tmp_path / f"ds{brk}b"
+        assert cli.main(["gen-data", "--spec", str(ws["spec_src"]), "--out", str(out),
+                         "--count", "2", "--seed", "1"]) == 0
+        assert len(tr.load_dataset(out)) == 2
+        cmd = (out / "manifest.txt").read_text().splitlines()[0]
+        assert cmd.startswith("# cmd: pointpeft gen-data ") and "ds b' --count 2" in cmd
+
+    def test_artifact(self, ws, tmp_path, brk):
+        out = tmp_path / f"ops{brk}b.csv"
+        assert cli.main(["count-ops", "--backbone", str(ws["bb"]), "--cloud",
+                         str(ws["src"] / "cloud_0000.txt"), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# cmd: pointpeft count-ops ") and lines[0].endswith("ops b.csv'")
+        assert lines[1].startswith("# hash: ") and lines[2] == "site,count"
+
+    def test_sweep_table(self, ws, tmp_path, brk):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("methods = linear\nseeds = 0\nepochs = 1\nbatch_size = 4\n")
+        out = tmp_path / f"results{brk}b.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
+                         "--data", str(ws["tgt"]), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# cmd: pointpeft sweep ") and lines[0].endswith("results b.csv'")
+        assert lines[1].startswith("# hash: ")
+        assert lines[2].startswith("method,") and lines[3].startswith("linear,")
+        assert len(lines) == 4
+
+    def test_attention_dump(self, ws, tmp_path, brk):
+        out = tmp_path / f"attn{brk}b.csv"
+        assert cli.main(["dump-attn", "--backbone", str(ws["bb"]), "--peft", str(ws["gem"]),
+                         "--cloud", str(ws["tgt"] / "cloud_0000.txt"), "--out", str(out)]) == 0
+        assert sorted(ins.load_attention_dump(out)) == [0, 1]
+        assert out.read_text().splitlines()[0].endswith("attn b.csv'")

@@ -297,6 +297,29 @@ class TestSceneGeneration:
         with pytest.raises(UsageError):
             geo.SceneSpec(classes=("cone",), points_per_class=10, noise_sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "noise_sigma, scale",
+        [
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+            (-0.1, 1.0),
+            (0.0, float("nan")),
+            (0.0, float("inf")),
+            (0.0, float("-inf")),
+            (0.0, 0.0),
+            (0.0, -1.5),
+        ],
+        ids=[
+            "nan-noise", "inf-noise", "negative-noise",
+            "nan-scale", "inf-scale", "-inf-scale", "zero-scale", "negative-scale",
+        ],
+    )
+    def test_non_finite_or_out_of_range_noise_and_scale_rejected(self, noise_sigma, scale):
+        with pytest.raises(UsageError):
+            geo.SceneSpec(
+                classes=("floor",), points_per_class=10, noise_sigma=noise_sigma, scale=scale
+            )
+
 
 class TestCloudIO:
     def test_round_trip_bitwise(self, tmp_path):

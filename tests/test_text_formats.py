@@ -1,8 +1,9 @@
-"""Property tests of the cloud and checkpoint text formats.
+"""Property tests of the cloud, checkpoint and scene-spec text formats.
 
 Whatever `save_cloud` or `save_checkpoint` writes loads back bitwise, and
 mutated text either loads as a valid object or raises DataError; no other
-exception reaches the caller.
+exception reaches the caller. Scene-spec text parses to a `SceneSpec` that
+round-trips through `scene_spec_text`, or raises DataError or UsageError.
 """
 
 import os
@@ -17,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from pointpeft import autograd as ag
 from pointpeft import backbone as bb
 from pointpeft import geometry as geo
-from pointpeft.errors import ContractError, DataError
+from pointpeft.errors import ContractError, DataError, UsageError
 
 # each example rewrites one file under the test's tmp_path
 FUZZ = settings(
@@ -29,10 +30,11 @@ FUZZ = settings(
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 # Pieces a mutation splices into saved text: separators, signs, exponents,
-# header words, numbers at and past the edges, and tokens that float()
-# takes but the loaders refuse.
+# hex digits, header words, numbers at and past the edges, and tokens that
+# float() takes but the loaders refuse.
 PIECES = (
-    list(" \t\n.-+eE#=,_[]x0123456789")
+    list(" \t\n.-+eE#=,_[]x0123456789afAF")
+    + ["0000000000000000", "000000000000f07f"]
     + ["nan", "inf", "-1", "1e999", "5e-324", "99999999999999999999", "1_000", "١٢"]
     + ["\u00a0", "\u2003", "\x00", "\x0c", "#points", "channels", "classes"]
     + ["[config]", "[params]", "\t0\t", ",", "0,3"]
@@ -227,10 +229,14 @@ class TestCheckpointText:
 
     def test_repeated_name_raises_data_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        path.write_text("[config]\n[params]\nw\t1\t0\n1.0\nw\t1\t0\n2.0\n")
-        with pytest.raises(DataError):
+        path.write_text(
+            "[config]\n[params]\nw\t1\t0\n000000000000f03f\nw\t1\t0\n0000000000000040\n"
+        )
+        with pytest.raises(DataError, match="duplicate parameter name"):
             ag.load_checkpoint(path)
 
+    # float() and int(s, 16) take these; spliced into a 16-digit value they
+    # keep its length, and the hex reader refuses them
     @pytest.mark.parametrize(
         "token",
         ["1_000", "١٢", "１２"],
@@ -238,8 +244,27 @@ class TestCheckpointText:
     )
     def test_tokens_float_takes_raise_data_error(self, tmp_path, token):
         path = tmp_path / "m.ckpt"
-        path.write_text(f"[config]\n[params]\nw\t2\t0\n1.0 {token}\n", encoding="utf-8")
-        with pytest.raises(DataError):
+        value = "000000000000f03f"[: 16 - len(token)] + token
+        path.write_text(f"[config]\n[params]\nw\t1\t0\n{value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="hex digits"):
+            ag.load_checkpoint(path)
+
+    # two values, 1.0 and 2.0, are 000000000000f03f0000000000000040
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("000000000000f03f000000000000004", "hex digits"),
+            ("000000000000f03f00000000000000400000", "hex digits"),
+            ("000000000000f03f  00000000000040", "hex digits"),  # fromhex skips the spaces
+            ("000000000000f03f\t000000000000040", "hex digits"),
+            ("1.0 2.0", "decimals, the encoding before hex: re-run `pointpeft pretrain`"),
+        ],
+        ids=["odd-digit-count", "not-a-multiple-of-16", "inner-space", "inner-tab", "decimal"],
+    )
+    def test_malformed_hex_line_raises_data_error(self, tmp_path, line, reason):
+        path = tmp_path / "m.ckpt"
+        path.write_text(f"[config]\n[params]\nw\t2\t0\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=reason):
             ag.load_checkpoint(path)
 
     def test_load_peak_memory_stays_near_the_file_size(self, tmp_path):
@@ -259,3 +284,64 @@ class TestCheckpointText:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * os.path.getsize(path)
+
+
+@st.composite
+def scene_specs(draw):
+    classes = tuple(draw(st.lists(st.sampled_from(geo.SHAPE_NAMES), min_size=1, max_size=5)))
+    n = len(classes)
+    labels = draw(st.just(()) | st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return geo.SceneSpec(
+        classes=classes,
+        points_per_class=draw(st.integers(1, 10**6)),
+        noise_sigma=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        seed=draw(st.integers(-(2**63), 2**63)),
+        scale=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        labels=tuple(labels),
+    )
+
+
+# `key = value` lines over the spec's keys and one unknown key; values are
+# numbers at and past the edges, class and label lists, mutation pieces and
+# arbitrary text
+EDGES = ["nan", "-inf", "inf", "0", "-0.0", "-1", "5e-324", "1e999", "floor, wall", "cone", "2, 1"]
+spec_lines = st.tuples(
+    st.sampled_from(sorted(geo._SPEC_KEYS) + ["colour"]),
+    st.sampled_from(EDGES) | st.sampled_from(PIECES) | st.text(max_size=8),
+).map(" = ".join)
+
+
+@st.composite
+def spec_texts(draw):
+    """Lines over a valid spec's text or none; a later line wins over an earlier one."""
+    base = draw(st.just([]) | scene_specs().map(lambda spec: [geo.scene_spec_text(spec)]))
+    return "\n".join(base + draw(st.lists(spec_lines, max_size=6)))
+
+
+def parse_or_none(text):
+    """The parsed spec, or None when the parser raised DataError or UsageError."""
+    try:
+        return geo.parse_scene_spec(text)
+    except (DataError, UsageError):
+        return None
+
+
+class TestSceneSpecText:
+    @FUZZ
+    @given(spec=scene_specs())
+    def test_round_trip(self, spec):
+        assert geo.parse_scene_spec(geo.scene_spec_text(spec)) == spec
+
+    @FUZZ
+    @given(text=spec_texts() | st.text())
+    def test_any_text_parses_or_raises_a_typed_error(self, text):
+        spec = parse_or_none(text)
+        if spec is not None:
+            assert geo.parse_scene_spec(geo.scene_spec_text(spec)) == spec
+
+    @FUZZ
+    @given(spec=scene_specs(), edits=mutations())
+    def test_mutated_text_parses_or_raises_a_typed_error(self, spec, edits):
+        got = parse_or_none(mutate(geo.scene_spec_text(spec), edits))
+        if got is not None:
+            assert geo.parse_scene_spec(geo.scene_spec_text(got)) == got
