@@ -59,8 +59,8 @@ class BackboneConfig:
             raise UsageError(f"d={self.d} not divisible by heads={self.heads}")
         if self.blocks < 1:
             raise UsageError("blocks must be >= 1")
-        if self.voxel_size <= 0:
-            raise UsageError("voxel_size must be positive")
+        if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise UsageError(f"voxel_size must be finite and > 0, got {self.voxel_size!r}")
         if not self.stages:
             object.__setattr__(self, "stages", _even_stages(self.blocks))
         covered = [i for a, b in self.stages for i in range(a, b)]

@@ -21,7 +21,7 @@ from . import instrumentation as ins
 from . import peft as pf
 from . import training as tr
 from .errors import PointPeftError, UsageError
-from .geometry import load_cloud, load_scene_spec, scene_spec_text
+from .geometry import load_cloud, load_scene_spec, read_text, scene_spec_text
 
 RANK_METHODS = ("adapter", "lora", "gem", "gem_sa_only", "gem_ca_only")
 TOKEN_METHODS = ("prompt", "gem", "gem_ca_only")
@@ -374,8 +374,7 @@ def expand_sweep_cells(cfg: dict, bconfig: bb.BackboneConfig) -> list[pf.PeftCon
 
 
 def _cmd_sweep(args, command: str) -> int:
-    with open(args.config) as fh:
-        cfg = parse_sweep_config(fh.read())
+    cfg = parse_sweep_config(read_text(args.config))
     num = {key: _sweep_number(key, cfg[key], kind) for key, kind in _SWEEP_SCALAR_KEYS.items() if key in cfg}
     tconfigs = [
         tr.TrainConfig(

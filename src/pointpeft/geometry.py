@@ -270,7 +270,6 @@ class SceneSpec:
     classes: tuple[str, ...]
     points_per_class: int
     noise_sigma: float
-    seed: int = 0
     scale: float = 1.0
     labels: tuple[int, ...] = ()
 
@@ -404,17 +403,23 @@ def save_cloud(path, cloud: PointCloud) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text(path) -> str:
+    """A text file's content, its line ends read as `\n`; bytes that are
+    not UTF-8 raise DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_cloud(path) -> PointCloud:
     """Read a `save_cloud` file; malformed content raises DataError.
 
     The point rows are parsed by numpy's text reader in one call, which
     takes plain ASCII decimals only (no `1_000`, no non-ASCII digits).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = [ln for ln in fh if not ln.isspace()]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    raw = [ln for ln in read_text(path).split("\n") if ln and not ln.isspace()]
     if not raw or not raw[0].lstrip().startswith("#points"):
         raise DataError(f"{path}: missing '#points n channels c classes C' header")
     header = raw[0].strip()
@@ -450,7 +455,7 @@ def load_cloud(path) -> PointCloud:
     )
 
 
-_SPEC_KEYS = {"classes", "points_per_class", "noise_sigma", "seed", "scale", "labels"}
+_SPEC_KEYS = {"classes", "points_per_class", "noise_sigma", "scale", "labels"}
 
 
 def parse_scene_spec(text: str) -> SceneSpec:
@@ -463,6 +468,8 @@ def parse_scene_spec(text: str) -> SceneSpec:
         if "=" not in ln:
             raise DataError(f"scene spec line {ln!r} is not 'key = value'")
         key, value = (part.strip() for part in ln.split("=", 1))
+        if key == "seed":
+            raise DataError("scene spec key 'seed' is gone; pass the seed as `gen-data --seed`")
         if key not in _SPEC_KEYS:
             raise DataError(f"unknown scene spec key {key!r}")
         fields[key] = value
@@ -474,7 +481,6 @@ def parse_scene_spec(text: str) -> SceneSpec:
             classes=tuple(v.strip() for v in fields["classes"].split(",") if v.strip()),
             points_per_class=int(fields["points_per_class"]),
             noise_sigma=float(fields["noise_sigma"]),
-            seed=int(fields.get("seed", "0")),
             scale=float(fields.get("scale", "1.0")),
             labels=tuple(
                 int(v) for v in fields.get("labels", "").split(",") if v.strip()
@@ -485,8 +491,7 @@ def parse_scene_spec(text: str) -> SceneSpec:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    with open(path) as fh:
-        return parse_scene_spec(fh.read())
+    return parse_scene_spec(read_text(path))
 
 
 def scene_spec_text(spec: SceneSpec) -> str:
@@ -497,6 +502,5 @@ def scene_spec_text(spec: SceneSpec) -> str:
             f"points_per_class = {spec.points_per_class}",
             f"noise_sigma = {spec.noise_sigma}",
             f"scale = {spec.scale}",
-            f"seed = {spec.seed}",
         ]
     )

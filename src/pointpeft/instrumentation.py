@@ -16,7 +16,7 @@ from . import backbone as bb
 from . import training as tr
 from .autograd import ParamStore
 from .errors import DataError, UsageError
-from .geometry import PointCloud
+from .geometry import PointCloud, read_text
 from .peft import PeftAttachment
 
 Array = np.ndarray
@@ -140,17 +140,16 @@ def load_attention_dump(path) -> dict[int, dict[int, dict[int, float]]]:
     """
     out: dict[int, dict[int, dict[int, float]]] = {}
     rows = None  # the current block's tokens
-    with open(path) as fh:
-        for number, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            try:
-                if ln.startswith("# block "):
-                    rows = out[int(ln.split()[-1])] = {}
-                elif ln and not ln.startswith("#") and not ln.startswith("token_id"):
-                    t, j, w = ln.split(",")
-                    if rows is None:
-                        raise ValueError("a row before the first '# block' line")
-                    rows.setdefault(int(t), {})[int(j)] = float(w)
-            except ValueError as exc:
-                raise DataError(f"{path} line {number}: {exc}: {ln!r}") from None
+    for number, ln in enumerate(read_text(path).split("\n"), start=1):
+        ln = ln.strip()
+        try:
+            if ln.startswith("# block "):
+                rows = out[int(ln.split()[-1])] = {}
+            elif ln and not ln.startswith("#") and not ln.startswith("token_id"):
+                t, j, w = ln.split(",")
+                if rows is None:
+                    raise ValueError("a row before the first '# block' line")
+                rows.setdefault(int(t), {})[int(j)] = float(w)
+        except ValueError as exc:
+            raise DataError(f"{path} line {number}: {exc}: {ln!r}") from None
     return out

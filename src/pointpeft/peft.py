@@ -427,21 +427,15 @@ def _tokens_for_rank(rank: int) -> int:
     return max(1, int(math.floor(rank * TOKENS_PER_RANK + 0.5)))
 
 
-def budget_fit(method: str, budget, bconfig: BackboneConfig) -> PeftConfig:
+def budget_fit(method: str, budget: float, bconfig: BackboneConfig) -> PeftConfig:
     """Largest configuration of `method` fitting a trainable-fraction budget.
 
-    `budget` is a fraction in (0, 1), or the string "rank=1" to pin the rank
-    instead of searching.  Rank is maximized first; token counts follow the
-    4:32 tokens-per-rank default ratio (prompt tuning maximizes tokens, its
-    only knob).
+    `budget` is a fraction in (0, 1).  Rank is maximized first; token counts
+    follow the 4:32 tokens-per-rank default ratio (prompt tuning maximizes
+    tokens, its only knob).  The fraction rises with the knob, so the search
+    doubles it until it overshoots and then bisects: O(log knob) calls of
+    `trainable_fraction`.
     """
-    if isinstance(budget, str):
-        if budget != "rank=1":
-            raise UsageError(f"unknown budget mode {budget!r}")
-        config = PeftConfig(method=method, rank=1, tokens=_tokens_for_rank(1))
-        if method in ("linear", "bitfit", "prompt"):
-            config = PeftConfig(method=method)
-        return config
     budget = float(budget)
     if not 0.0 < budget < 1.0:
         raise UsageError(f"budget fraction must lie in (0, 1), got {budget}")
@@ -462,32 +456,24 @@ def budget_fit(method: str, budget, bconfig: BackboneConfig) -> PeftConfig:
             )
         return config
 
-    if method == "prompt":
-        best = None
-        m = 1
-        while True:
-            config = PeftConfig(method=method, tokens=m)
-            if trainable_fraction(config, bconfig) > budget:
-                break
-            best, m = config, m + 1
-        if best is None:
-            raise InfeasibleBudgetError(
-                f"prompt tuning with m=1 already exceeds budget {budget}"
-            )
-        return best
+    def sized(n: int) -> PeftConfig:
+        if method == "prompt":
+            return PeftConfig(method=method, tokens=n)
+        return PeftConfig(method=method, rank=n, tokens=_tokens_for_rank(n))
 
-    best = None
-    r = 1
-    while True:
-        config = PeftConfig(method=method, rank=r, tokens=_tokens_for_rank(r))
-        if trainable_fraction(config, bconfig) > budget:
-            break
-        best, r = config, r + 1
-    if best is None:
-        raise InfeasibleBudgetError(
-            f"{method} at rank 1 already exceeds budget {budget}"
-        )
-    return best
+    def fits(n: int) -> bool:
+        return trainable_fraction(sized(n), bconfig) <= budget
+
+    if not fits(1):
+        knob = "tokens" if method == "prompt" else "rank"
+        raise InfeasibleBudgetError(f"{method} with {knob} 1 already exceeds budget {budget}")
+    lo, hi = 1, 2  # fits(lo); hi not yet tried
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # fits(lo) and not fits(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return sized(lo)
 
 
 # ---------------------------------------------------------------------------

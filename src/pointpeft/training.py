@@ -32,6 +32,7 @@ from .geometry import (
     build_neighbor_index,
     generate_scene,
     load_cloud,
+    read_text,
     save_cloud,
     scene_spec_text,
     serialize,
@@ -56,8 +57,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise UsageError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise UsageError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
@@ -83,10 +86,17 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return 0.5 * config.learning_rate * (1.0 + np.cos(np.pi * epoch / config.epochs))
 
 
+def _shared_zeros(*shape: int) -> Array:
+    """Float64 zeros in anonymous memory, which a forked `_Helper` shares."""
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), np.float64, size).reshape(shape)
+
+
 class OptState:
     """Optimizer state for every trainable scalar as one flat vector, laid out
     in `store.trainable_items()` order by `bind`.  `w` holds the parameters
-    themselves, in memory a forked `_Helper` shares."""
+    themselves and row k of `rows` a batch's k-th flat gradient, both in
+    memory a forked `_Helper` shares; `g`, row 0, takes the batch's sum."""
 
     ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
     SGD_MOMENTUM = 0.9
@@ -110,9 +120,9 @@ class OptState:
             self.m, self.v = np.zeros(size), np.zeros(size)
         else:
             self.vel = np.zeros(size)
-        # g takes the summed gradients; s is scratch.
-        self.g, self.s = np.zeros(size), np.zeros(size)
-        self.w = np.frombuffer(mmap.mmap(-1, 8 * max(1, size)), np.float64, size)  # shared on fork
+        self.rows = _shared_zeros(self.config.batch_size, size)
+        self.g, self.s = self.rows[0], np.zeros(size)  # s is scratch
+        self.w = _shared_zeros(size)
         end = 0
         for _, t in items:
             view = self.w[end : end + t.numel].reshape(t.shape)
@@ -277,13 +287,10 @@ def load_dataset(path) -> list[PointCloud]:
     if not os.path.exists(manifest):
         raise DataError(f"{path}: no manifest.txt; not a dataset directory")
     clouds = []
-    with open(manifest) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#") or ln.startswith("spec-hash"):
-                continue
-            name = ln.split()[0]
-            clouds.append(load_cloud(os.path.join(path, name)))
+    for ln in read_text(manifest).split("\n"):
+        ln = ln.strip()
+        if ln and not ln.startswith("#") and not ln.startswith("spec-hash"):
+            clouds.append(load_cloud(os.path.join(path, ln.split()[0])))
     if not clouds:
         raise DataError(f"{path}: manifest lists no clouds")
     return clouds
@@ -295,24 +302,22 @@ def load_dataset(path) -> list[PointCloud]:
 SOURCE_CLASSES = ("floor", "wall", "box")
 
 
-def source_spec(points_per_class: int = 64, seed: int = 0) -> SceneSpec:
+def source_spec(points_per_class: int = 64) -> SceneSpec:
     return SceneSpec(
         classes=SOURCE_CLASSES,
         points_per_class=points_per_class,
         noise_sigma=0.01,
-        seed=seed,
         scale=1.0,
     )
 
 
-def target_spec(points_per_class: int = 64, seed: int = 0) -> SceneSpec:
+def target_spec(points_per_class: int = 64) -> SceneSpec:
     """Shifted distribution: spheres appear (labeled as boxes), more noise,
     larger scenes."""
     return SceneSpec(
         classes=("floor", "wall", "box", "sphere"),
         points_per_class=points_per_class,
         noise_sigma=0.03,
-        seed=seed,
         scale=1.5,
         labels=(0, 1, 2, 2),
     )
@@ -348,7 +353,7 @@ class RunRecord:
             "run-record",
             f"kind = {self.kind}",
             f"config_hash = {self.config_hash}",
-            f"command = {self.command}",
+            f"command = {' '.join(self.command.splitlines())}",  # one line, as `ag.cmd_comment`
             f"trainable = {self.trainable}",
             f"total = {self.total}",
             f"wall_time_s = {self.wall_time:.3f}",
@@ -397,6 +402,16 @@ def _confusion(
     return cm
 
 
+def _confusion_work(store, attachment, prepared, bconfig, resume):
+    """The work of counting the predictions of `prepared`'s slots."""
+
+    def confusion(slots: range) -> ConfusionMatrix:
+        part = slice(slots.start, slots.stop)
+        return _confusion(store, attachment, prepared[part], bconfig, resume[part])
+
+    return confusion
+
+
 def evaluate(
     store: ParamStore,
     attachment,
@@ -410,9 +425,9 @@ def evaluate(
 
     `resume`, from `backbone.frozen_resume` on the same split, lets each
     forward skip the frozen work.  The training loop passes those and its
-    forked helper, which then evaluates the second half of the split;
-    `last` marks the helper's last request, after which it exits.  Called
-    on its own (no `resume`, no `helper`) with two clouds or more,
+    forked helper, whose `confusion` work counts the second half of this
+    split; `last` marks the helper's last request, after which it exits.
+    Called on its own (no `resume`, no `helper`) with two clouds or more,
     `evaluate` forks a helper for the call where `_split_allowed` holds,
     and its one request is the helper's last."""
     own = (
@@ -422,16 +437,11 @@ def evaluate(
         # with no resume point a pass runs every block, as the plain backbone's does
         and _split_allowed(None, bconfig)
     )
-    resume = resume or [None] * len(prepared)
-    if own:
-        helper = _Helper(store, attachment, bconfig, [(prepared, resume)], 0)
-    with helper if own else nullcontext():
-        mine = _parent_share(len(prepared), helper)
-        if mine < len(prepared):
-            helper.request("eval", helper.split_of(prepared), mine, last=last or own)
-        cm = _confusion(store, attachment, prepared[:mine], bconfig, resume[:mine])
-        if mine < len(prepared):
-            cm.merge(helper.reply())
+    confusion = _confusion_work(store, attachment, prepared, bconfig, resume or [None] * len(prepared))
+    with _Helper(confusion) if own else nullcontext(helper) as helper:
+        cm, *rest = _halves(helper, confusion, len(prepared), last=last or own)
+    for other in rest:
+        cm.merge(other)
     return cm.metrics()
 
 
@@ -485,32 +495,36 @@ def _split_allowed(attachment, bconfig: bb.BackboneConfig) -> bool:
     )
 
 
-def _parent_share(count: int, helper: _Helper | None) -> int:
-    """How many of `count` clouds the parent takes; the helper gets the rest."""
-    return count if helper is None or count < 2 else count // 2
+def _halves(helper: _Helper | None, work, count: int, *args, last: bool = False) -> list:
+    """`work`'s answers for slots 0..count-1, in slot order.  With a helper
+    and two slots or more, the parent runs the first half (rounded down)
+    and the helper its own `work` of that name on the rest."""
+    mine = count if helper is None or count < 2 else count // 2
+    if mine < count:
+        helper.request(work.__name__, range(mine, count), args, last)
+    answers = [work(range(mine), *args)]
+    if mine < count:
+        answers.append(helper.reply())
+    return answers
 
 
 class _Helper:
-    """A forked copy of the process that runs the second half of every
-    batch and every evaluation of one `_run_epochs` or `evaluate` call.
+    """A forked copy of the process that runs the work functions it was
+    forked with, for one `_run_epochs` or `evaluate` call.
 
-    Arrays travel through memory both processes map.  In `_run_epochs` the
-    trainable parameters live in the optimizer's `OptState.w`, bound before
-    the fork, so the helper reads the parent's current values; the parent
-    steps only after a `reply`, while the helper waits for its next
-    request.  Row k of `grads` holds the flat gradient of the helper's k-th
-    cloud of a batch.  The pipe carries only the requests and the small
-    rest of each answer (losses, a confusion matrix) or the exception the
-    helper's share raised, which `reply` raises here.  The helper exits
-    after answering a request marked `last`, or when the parent closes its
-    end or dies.
+    Each work is a closure over the call's store, attachment, clouds and
+    resume points, which the child inherits.  Arrays travel through memory
+    both processes map: the parameters in `OptState.w`, bound before the
+    fork, and each cloud's flat gradient in its row of `OptState.rows`; the
+    parent steps only after a `reply`, while the helper waits for its next
+    request.  The pipe carries only the requests and the small rest of
+    each answer (losses, a confusion matrix) or the exception the work
+    raised, which `reply` raises here.  The helper exits after answering a
+    request marked `last`, or when the parent closes its end or dies.
     """
 
-    def __init__(self, store, attachment, bconfig, splits, batch_size: int):
-        self.store, self.attachment, self.bconfig, self.splits = store, attachment, bconfig, splits
-        rows, width = batch_size - _parent_share(batch_size, self), store.trainable_count
-        shared = mmap.mmap(-1, 8 * max(1, rows * width))  # anonymous, shared on fork
-        self.grads = np.frombuffer(shared, np.float64, rows * width).reshape(rows, width)
+    def __init__(self, *works):
+        self.works = {work.__name__: work for work in works}
         ctx = multiprocessing.get_context("fork")
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=self._serve, args=(child,), daemon=True)
@@ -529,11 +543,8 @@ class _Helper:
         self.conn.close()
         self.proc.join()
 
-    def split_of(self, prepared: list[Prepared]) -> int:
-        return next(i for i, (p, _) in enumerate(self.splits) if p is prepared)
-
-    def request(self, kind: str, split: int, *args, last: bool = False) -> None:
-        self.conn.send((kind, split, last, *args))
+    def request(self, name: str, slots: range, args: tuple, last: bool) -> None:
+        self.conn.send((name, slots, args, last))
 
     def reply(self):
         try:
@@ -549,29 +560,14 @@ class _Helper:
         when the parent closes its end or dies."""
         self.conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-        store, attachment, bconfig = self.store, self.attachment, self.bconfig
         last = False
         while not last:
             try:
-                kind, split, last, *args = conn.recv()
+                name, slots, args, last = conn.recv()
             except EOFError:
                 return
-            prepared, resume = self.splits[split]
             try:
-                if kind == "batch":
-                    indices, scale, epoch, count = args
-                    cm = ConfusionMatrix(bconfig.num_classes) if count else None
-                    values = [
-                        _cloud_grads(
-                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm,
-                            row,
-                        )
-                        for row, i in zip(self.grads, indices)
-                    ]
-                    answer = (values, cm)
-                else:
-                    (lo,) = args
-                    answer = _confusion(store, attachment, prepared[lo:], bconfig, resume[lo:])
+                answer = self.works[name](slots, *args)
             except Exception as exc:
                 answer = exc
             conn.send(answer)
@@ -586,9 +582,9 @@ def _run_epochs(
     tconfig: TrainConfig,
     record: RunRecord,
 ) -> None:
-    """Every batch sums its clouds' flat gradients in batch order into the
-    optimizer's gradient vector, each computed on its own, so a batch split
-    with the helper gives the serial bytes.
+    """Every batch's k-th cloud writes its flat gradient into row k of
+    `OptState.rows`, and the rows are summed in batch order into row 0, so
+    a batch split with the helper gives the serial bytes.
 
     Each epoch's metrics come from `evaluate` on `eval_prepared` after the
     epoch's last step, unless `eval_prepared is prepared` (no eval split was
@@ -598,7 +594,6 @@ def _run_epochs(
     evaluation is the helper's last request."""
     state = OptState(tconfig)
     state.bind(store.trainable_items())  # before the helper forks: it must share `state.w`
-    later = np.empty_like(state.g)  # the gradient of a batch's second and later clouds
     running = eval_prepared is prepared
     record.running_metrics = running
     shuffle_rng = named_rng(tconfig.seed, "shuffle")
@@ -611,9 +606,22 @@ def _run_epochs(
 
     resume = resume_points(prepared)
     eval_resume = resume if eval_prepared is prepared else resume_points(eval_prepared)
-    splits = [(prepared, resume), (eval_prepared, eval_resume)]
-    parallel = _split_allowed(attachment, bconfig)
-    helper = _Helper(store, attachment, bconfig, splits, tconfig.batch_size) if parallel else None
+
+    def grads(slots: range, chunk: list[int], epoch: int, count: bool):
+        cm = ConfusionMatrix(bconfig.num_classes) if count else None
+        scale = 1.0 / len(chunk)
+        losses = [
+            _cloud_grads(
+                store, attachment, prepared[chunk[k]], resume[chunk[k]], bconfig, scale, epoch,
+                cm, state.rows[k],
+            )
+            for k in slots
+        ]
+        return losses, cm
+
+    helper = None
+    if _split_allowed(attachment, bconfig):
+        helper = _Helper(grads, _confusion_work(store, attachment, eval_prepared, bconfig, eval_resume))
     with helper or nullcontext():
         for epoch in range(tconfig.epochs):
             lr = lr_at(tconfig, epoch)
@@ -625,27 +633,12 @@ def _run_epochs(
                 cm = ConfusionMatrix(bconfig.num_classes)
             for start in range(0, len(order), tconfig.batch_size):
                 chunk = [int(i) for i in order[start : start + tconfig.batch_size]]
-                scale = 1.0 / len(chunk)
-                mine = _parent_share(len(chunk), helper)
-                if mine < len(chunk):
-                    helper.request("batch", 0, chunk[mine:], scale, epoch, cm is not None)
-                for k, i in enumerate(chunk[:mine]):
-                    flat = later if k else state.g
-                    losses.append(
-                        _cloud_grads(
-                            store, attachment, prepared[i], resume[i], bconfig, scale, epoch, cm,
-                            flat,
-                        )
-                    )
-                    if k:
-                        state.g += later
-                if mine < len(chunk):
-                    values, helper_cm = helper.reply()
-                    for value, row in zip(values, helper.grads):
-                        losses.append(value)
-                        state.g += row
+                for values, counted in _halves(helper, grads, len(chunk), chunk, epoch, cm is not None):
+                    losses += values
                     if cm is not None:
-                        cm.merge(helper_cm)
+                        cm.merge(counted)
+                for row in state.rows[1 : len(chunk)]:
+                    state.g += row
                 step(store, state, lr)
             if cm is not None:
                 metrics = cm.metrics()

@@ -53,6 +53,11 @@ class TestConfig:
         with pytest.raises(UsageError):
             bb.BackboneConfig(d=10, heads=4)
 
+    @pytest.mark.parametrize("voxel_size", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_voxel_size_must_be_finite_and_positive(self, voxel_size):
+        with pytest.raises(UsageError, match="voxel_size"):
+            bb.BackboneConfig(voxel_size=voxel_size)
+
     def test_bad_stage_cover_rejected(self):
         with pytest.raises(UsageError):
             bb.BackboneConfig(blocks=4, stages=((0, 2), (3, 4)))

@@ -110,6 +110,14 @@ class TestGenData:
         assert cli.main(["gen-data", "--spec", str(bad), "--out",
                          str(tmp_path / "o"), "--count", "1"]) == 1
 
+    def test_spec_file_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"classes = floor\xff\n")
+        assert cli.main(["gen-data", "--spec", str(bad), "--out",
+                         str(tmp_path / "o"), "--count", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
 
 class TestPretrain:
     def test_checkpoint_embeds_command_and_hash(self, ws):
@@ -149,6 +157,19 @@ class TestPretrain:
                          "--optimizer", "sgd_momentum", "--lr", "1e12"])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+         ("--wd", "-1", "weight_decay"), ("--voxel-size", "nan", "voxel_size")],
+    )
+    def test_non_finite_number_exits_one(self, ws, tmp_path, capsys, flag, value, field):
+        code = cli.main(["pretrain", "--data", str(ws["src"]), "--out", str(tmp_path / "x.ckpt"),
+                         *BACKBONE_FLAGS, "--epochs", "1", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_malformed_stages_is_usage_error(self, ws, tmp_path, capsys):
         code = cli.main(["pretrain", "--data", str(ws["src"]),
@@ -388,6 +409,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(f"error: sweep config {key} = ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("lr", "nan"), ("wd", "-inf")])
+    def test_non_finite_number_is_a_usage_error(self, ws, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"methods = linear\nepochs = 1\n{key} = {value}\n")
+        out = tmp_path / "results.csv"
+        code = cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
+                         "--data", str(ws["tgt"]), "--out", str(out)])
+        assert code == 1 and "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_not_utf8_exits_one(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"methods = linear\xff\n")
+        code = cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
+                         "--data", str(ws["tgt"]), "--out", str(tmp_path / "results.csv")])
+        assert code == 1 and "not UTF-8" in capsys.readouterr().err
 
     def test_cell_failure_recorded_and_exit_reflects_worst(self, ws, tmp_path, monkeypatch):
         """A typed error exits with its own code."""

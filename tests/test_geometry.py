@@ -384,7 +384,6 @@ class TestSceneSpecIO:
             classes=("floor", "wall", "box", "sphere"),
             points_per_class=64,
             noise_sigma=0.03,
-            seed=7,
             scale=1.5,
             labels=(0, 1, 2, 2),
         )
@@ -396,7 +395,11 @@ class TestSceneSpecIO:
             "noise_sigma = 0.01\n"
         )
         assert spec.classes == ("floor", "wall")
-        assert spec.seed == 0 and spec.scale == 1.0
+        assert spec.scale == 1.0
+
+    def test_seed_key_points_to_the_gen_data_flag(self):
+        with pytest.raises(DataError, match="gen-data --seed"):
+            geo.parse_scene_spec("classes = floor\npoints_per_class = 1\nnoise_sigma = 0\nseed = 7")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError):

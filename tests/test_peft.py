@@ -473,11 +473,35 @@ class TestBudgetFit:
         with pytest.raises(InfeasibleBudgetError):
             peft.budget_fit("lora", floor / 2, bconfig)
 
-    def test_rank_one_mode(self):
-        bconfig = bb.BackboneConfig()
-        for method in ("adapter", "lora", "gem"):
-            config = peft.budget_fit(method, "rank=1", bconfig)
-            assert config.rank == 1
+    @pytest.mark.parametrize("method", ["adapter", "lora", "gem", "gem_sa_only", "gem_ca_only", "prompt"])
+    def test_search_equals_the_linear_search(self, method, monkeypatch):
+        """The doubling-then-bisection search returns what trying one knob
+        value after another returns, in O(log knob) fraction calls."""
+        bconfig = bb.BackboneConfig(d=16, blocks=2, heads=2)
+        fraction = peft.trainable_fraction
+
+        def sized(n):
+            if method == "prompt":
+                return peft.PeftConfig(method=method, tokens=n)
+            return peft.PeftConfig(method=method, rank=n, tokens=peft._tokens_for_rank(n))
+
+        calls = []
+        monkeypatch.setattr(peft, "trainable_fraction", lambda *a: calls.append(a) or fraction(*a))
+        for budget in (0.04, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 0.9):
+            n = 1
+            while fraction(sized(n + 1), bconfig) <= budget:
+                n += 1
+            calls.clear()
+            assert peft.budget_fit(method, budget, bconfig) == sized(n)
+            assert len(calls) <= 2 * n.bit_length() + 1
+
+    def test_budgets_near_one_stay_cheap(self, monkeypatch):
+        """At the CLI's default backbone a budget of 0.9999 fits a rank near
+        two million; the old search made one call per rank."""
+        fraction, calls = peft.trainable_fraction, []
+        monkeypatch.setattr(peft, "trainable_fraction", lambda *a: calls.append(a) or fraction(*a))
+        rank = peft.budget_fit("lora", 0.9999, bb.BackboneConfig()).rank
+        assert rank > 10**6 and len(calls) <= 2 * rank.bit_length() + 1
 
     def test_linear_passes_when_affordable(self):
         bconfig = bb.BackboneConfig()

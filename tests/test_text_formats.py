@@ -1,9 +1,12 @@
-"""Property tests of the cloud, checkpoint and scene-spec text formats.
+"""Property tests of the cloud, checkpoint, scene-spec, sweep-config and
+attention-dump text formats.
 
-Whatever `save_cloud` or `save_checkpoint` writes loads back bitwise, and
-mutated text either loads as a valid object or raises DataError; no other
-exception reaches the caller. Scene-spec text parses to a `SceneSpec` that
-round-trips through `scene_spec_text`, or raises DataError or UsageError.
+Whatever `save_cloud`, `save_checkpoint` or `dump_attention` writes loads
+back bitwise, and mutated text either loads as a valid object or raises
+DataError; no other exception reaches the caller. Scene-spec text parses to
+a `SceneSpec` that round-trips through `scene_spec_text`, or raises
+DataError or UsageError. Sweep-config text expands to grid cells or raises
+UsageError.
 """
 
 import os
@@ -17,7 +20,11 @@ from hypothesis.extra.numpy import arrays
 
 from pointpeft import autograd as ag
 from pointpeft import backbone as bb
+from pointpeft import cli
 from pointpeft import geometry as geo
+from pointpeft import instrumentation as ins
+from pointpeft import peft as pf
+from pointpeft import training as tr
 from pointpeft.errors import ContractError, DataError, UsageError
 
 # each example rewrites one file under the test's tmp_path
@@ -295,7 +302,6 @@ def scene_specs(draw):
         classes=classes,
         points_per_class=draw(st.integers(1, 10**6)),
         noise_sigma=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        seed=draw(st.integers(-(2**63), 2**63)),
         scale=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
         labels=tuple(labels),
     )
@@ -306,7 +312,7 @@ def scene_specs(draw):
 # arbitrary text
 EDGES = ["nan", "-inf", "inf", "0", "-0.0", "-1", "5e-324", "1e999", "floor, wall", "cone", "2, 1"]
 spec_lines = st.tuples(
-    st.sampled_from(sorted(geo._SPEC_KEYS) + ["colour"]),
+    st.sampled_from(sorted(geo._SPEC_KEYS) + ["colour", "seed"]),
     st.sampled_from(EDGES) | st.sampled_from(PIECES) | st.text(max_size=8),
 ).map(" = ".join)
 
@@ -345,3 +351,85 @@ class TestSceneSpecText:
         got = parse_or_none(mutate(geo.scene_spec_text(spec), edits))
         if got is not None:
             assert geo.parse_scene_spec(geo.scene_spec_text(got)) == got
+
+
+# ---------------------------------------------------------------------------
+# sweep configs
+
+SWEEP_BACKBONE = bb.BackboneConfig(d=16, blocks=2, patch_size=8, heads=2)
+SWEEP_VALUES = [*pf.METHODS, *EDGES, "global", "per_block", "3", "0.05", "0.9999", "1e-9"]
+sweep_lines = st.tuples(
+    st.sampled_from([*cli._SWEEP_LIST_KEYS, *cli._SWEEP_SCALAR_KEYS, "colour"]),
+    st.lists(st.sampled_from(SWEEP_VALUES) | st.sampled_from(PIECES) | st.text(max_size=6), max_size=3)
+    .map(", ".join),
+).map(" = ".join)
+
+
+class TestSweepConfigText:
+    @FUZZ
+    @given(text=st.lists(sweep_lines, max_size=6).map("\n".join) | st.text())
+    def test_any_text_gives_cells_or_a_usage_error(self, text):
+        try:
+            cells = cli.expand_sweep_cells(cli.parse_sweep_config(text), SWEEP_BACKBONE)
+        except UsageError:
+            return
+        assert all(isinstance(cell, pf.PeftConfig) for cell in cells)
+
+
+# ---------------------------------------------------------------------------
+# attention dumps
+
+# block -> token -> point -> weight, as `load_attention_dump` returns it
+attention = st.dictionaries(
+    st.integers(0, 3),
+    st.dictionaries(st.integers(0, 3), st.dictionaries(st.integers(0, 5), finite, min_size=1, max_size=3), max_size=2),
+    max_size=2,
+)
+
+
+def dump_text(dump) -> str:
+    lines = ["# hash: 0", "token_id,point_id,weight"]
+    for block, rows in dump.items():
+        lines.append(f"# block {block}")
+        lines += [f"{t},{j},{w!r}" for t, row in rows.items() for j, w in row.items()]
+    return "\n".join(lines) + "\n"
+
+
+class TestAttentionDumpText:
+    @FUZZ
+    @given(dump=attention, edits=mutations())
+    def test_mutated_text_loads_or_raises_data_error(self, tmp_path, dump, edits):
+        path = tmp_path / "attn.csv"
+        path.write_text(dump_text(dump), encoding="utf-8")
+        assert ins.load_attention_dump(path) == dump
+        path.write_text(mutate(dump_text(dump), edits), encoding="utf-8")
+        load_or_none(ins.load_attention_dump, path)
+
+    @FUZZ
+    @given(blob=st.binary(max_size=64) | st.text().map(lambda t: t.encode("utf-8")))
+    def test_any_bytes_load_or_raise_data_error(self, tmp_path, blob):
+        path = tmp_path / "attn.csv"
+        path.write_bytes(blob)
+        load_or_none(ins.load_attention_dump, path)
+
+    @settings(FUZZ, max_examples=15)
+    @given(method=st.sampled_from(["gem", "gem_ca_only"]), seed=st.integers(0, 2**31 - 1))
+    def test_dump_round_trips_the_weights(self, tmp_path, method, seed):
+        """The weights `dump_attention` writes load back bitwise: every
+        block's stage-1 rows, as a traced forward of the same model gives them."""
+        bconfig = bb.BackboneConfig(d=16, blocks=2, patch_size=8, heads=2, num_classes=3)
+        store = bb.init_backbone(bconfig, seed)
+        attachment = pf.attach(pf.PeftConfig(method=method, rank=2, tokens=2), store, bconfig, seed=seed)
+        cloud = tr.generate_dataset(tr.target_spec(4), 1, seed)[0]
+        path = tmp_path / "attn.csv"
+        ins.dump_attention(cloud, store, bconfig, attachment, path)
+        pc, tracer = ins._prepare(cloud, bconfig, attachment), ins.OpCounter()
+        bb.forward(cloud, pc.part, pc.nbr, attachment, store, bconfig, tracer=tracer)
+        want = {
+            block: {
+                t: {j: float(w) for j, w in enumerate(row)}
+                for t, row in enumerate(tracer.arrays[f"block{block}.ca.stage1"]["weights"])
+            }
+            for block in range(bconfig.blocks)
+        }
+        assert ins.load_attention_dump(path) == want

@@ -179,6 +179,30 @@ class TestStep:
         assert store.byte_snapshot() == bound and other.byte_snapshot() == before
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+            ("learning_rate", 0.0), ("learning_rate", -1e-3),
+            ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+            ("weight_decay", -1.0),
+        ],
+    )
+    def test_out_of_range_number_rejected(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            tr.TrainConfig(**{field: value})
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+    def test_command_with_a_line_break_stays_one_line(self, brk):
+        record = tr.RunRecord(kind="pretrain", config_hash="h", command=f"pointpeft pretrain --out 'a{brk}b'")
+        lines = record.to_text().splitlines()
+        assert lines[3] == "command = pointpeft pretrain --out 'a b'"
+        assert all(" = " in ln for ln in lines[1:])
+
+
 class TestSchedule:
     def test_constant(self):
         config = tr.TrainConfig(lr_schedule="constant", learning_rate=0.2, epochs=10)
@@ -255,6 +279,11 @@ class TestDatasets:
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
+            tr.load_dataset(tmp_path)
+
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        (tmp_path / "manifest.txt").write_bytes(b"cloud_0000.txt 1\n\xff\n")
+        with pytest.raises(DataError, match="not UTF-8"):
             tr.load_dataset(tmp_path)
 
     def test_domain_shift_recipe(self):

@@ -1,0 +1,105 @@
+"""Split and serial training runs: SHA-256 digests of everything they produce.
+
+    PYTHONPATH=src python tools/split_check.py > out.json
+
+Runs a set of small trainings (d=16, 4 blocks, 6 clouds, batch 4, 2 epochs)
+twice: once serial and once with the helper split forced on through
+`training._split_allowed`. The runs are `pretrain` with AdamW and with SGD
+momentum, and `finetune` with every PEFT method, each with and without an
+eval split. Each run's digest covers
+
+- the tuned store: names, shapes, frozen flags and value bytes;
+- the saved checkpoint bytes (`save_backbone` or `save_peft`);
+- `RunRecord.to_text()` without its `wall_time_s` line;
+- `RunRecord.metrics_csv()`;
+- the metrics of a standalone `evaluate` on a held-out split.
+
+Prints one JSON object: `runs` maps each run to its `serial` and `split`
+digests, `serial` and `split` digest those in run order, and
+`serial_equals_split` compares the two. Running the script on two commits
+and comparing `serial` shows whether they train to the same bytes. The
+script sets one BLAS thread before numpy loads, as perfbench does.
+"""
+
+import os
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+
+from pointpeft import backbone as bb  # noqa: E402
+from pointpeft import peft as pf  # noqa: E402
+from pointpeft import training as tr  # noqa: E402
+
+BCONFIG = bb.BackboneConfig(
+    d=16, blocks=4, patch_size=8, heads=2, ffn_mult=2, num_classes=3,
+    in_channels=6, voxel_size=0.5, stages=((0, 2), (2, 4)),
+)
+
+
+def tconfig(optimizer: str = "adamw") -> tr.TrainConfig:
+    return tr.TrainConfig(epochs=2, batch_size=4, seed=5, learning_rate=3e-3, optimizer=optimizer)
+
+
+def clouds(count: int, seed: int):
+    return tr.generate_dataset(tr.target_spec(points_per_class=12), count, seed)
+
+
+def run_digest(path, store, attachment, record, need_neighbors: bool) -> str:
+    h = hashlib.sha256()
+    for name in store.names():
+        t = store[name]
+        h.update(f"{name}\t{t.shape}\t{int(store.frozen(name))}\n".encode("utf-8"))
+        h.update(t.data.tobytes())
+    with open(path, "rb") as fh:
+        h.update(fh.read())
+    text = record.to_text().splitlines(True)
+    h.update("".join(ln for ln in text if not ln.startswith("wall_time_s")).encode("utf-8"))
+    h.update(record.metrics_csv().encode("utf-8"))
+    held_out = tr.prepare(clouds(3, seed=13), BCONFIG, need_neighbors=need_neighbors)
+    metrics = tr.evaluate(store, attachment, held_out, BCONFIG)
+    h.update(json.dumps(metrics, sort_keys=True).encode("utf-8"))
+    return h.hexdigest()
+
+
+def runs(path):
+    """(name, digest) for every run, in a fixed order."""
+    data = clouds(6, seed=3)
+    for optimizer in ("adamw", "sgd_momentum"):
+        for eval_clouds in (None, clouds(3, seed=4)):
+            store, record = tr.pretrain(data, BCONFIG, tconfig(optimizer), eval_clouds=eval_clouds)
+            bb.save_backbone(path, store, BCONFIG)
+            name = f"pretrain-{optimizer}-{'eval' if eval_clouds else 'running'}"
+            yield name, run_digest(path, store, None, record, False)
+    backbone = bb.init_backbone(BCONFIG, 3)
+    for method in pf.METHODS:
+        config = pf.PeftConfig(method=method, rank=2, tokens=2)
+        for eval_clouds in (None, clouds(3, seed=8)):
+            store, attachment, record = tr.finetune(
+                backbone, BCONFIG, config, clouds(6, seed=7), tconfig(), eval_clouds=eval_clouds
+            )
+            pf.save_peft(path, store, config, BCONFIG)
+            name = f"finetune-{method}-{'eval' if eval_clouds else 'running'}"
+            yield name, run_digest(path, store, attachment, record, config.has_spatial)
+
+
+def main() -> None:
+    out = {"runs": {}}
+    with tempfile.TemporaryDirectory(prefix="split_check_") as work:
+        path = os.path.join(work, "m.ckpt")
+        for mode in ("serial", "split"):
+            tr._split_allowed = lambda attachment, bconfig, on=(mode == "split"): on
+            total = hashlib.sha256()
+            for name, digest in runs(path):
+                out["runs"].setdefault(name, {})[mode] = digest
+                total.update(digest.encode("utf-8"))
+            out[mode] = total.hexdigest()
+    out["serial_equals_split"] = out["serial"] == out["split"]
+    print(json.dumps(out, indent=2))
+
+
+if __name__ == "__main__":
+    main()
