@@ -19,7 +19,7 @@ The model's rows are short (16 to 128 wide), where numpy's per-axis
 reductions are slow: a row sum over (36, 16, 16) logits takes three times
 as long as the exponential.  Row and column sums on the hot path are
 therefore BLAS mat-vec products with a vector of ones (`_row_sums`,
-`_col_sums`).
+`_col_sums`), one read-only vector per width shared by all of them (`_ONES`).
 
 A first gradient is stored as given, not copied: a leaf's ``grad`` may be
 the very array a backward passed on, shared with other nodes' gradients or
@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -81,11 +82,12 @@ def _wrap(value) -> Tensor:
 def _accum(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
-    t.grad = np.asarray(g, dtype=np.float64) if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 _grad_enabled = True  # read by _node; only no_grad changes it
 _stamps = itertools.count(1)  # creation order of graph nodes, read by backward
+_STAMP = operator.attrgetter("_seq")
 
 
 @contextmanager
@@ -105,18 +107,35 @@ def no_grad() -> Iterator[None]:
 
 def _node(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-        out._seq = next(_stamps)
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                out._seq = next(_stamps)
+                break
     return out
+
+
+class _Ones(dict):
+    """Read-only vectors of ones by length, each made on first use and then
+    shared by every row and column sum of that width."""
+
+    def __missing__(self, width: int) -> Array:
+        ones = np.ones(width)
+        ones.flags.writeable = False
+        self[width] = ones
+        return ones
+
+
+_ONES = _Ones()
 
 
 def _row_sums(a: Array) -> Array:
     """Sums over the last axis, keeping it as size 1, by one mat-vec product."""
     width = a.shape[-1]
-    return (a.reshape(-1, width) @ np.ones(width)).reshape(a.shape[:-1] + (1,))
+    return (a.reshape(-1, width) @ _ONES[width]).reshape(a.shape[:-1] + (1,))
 
 
 def _take_rows(a: Array, index: Array) -> Array:
@@ -130,7 +149,7 @@ def _take_rows(a: Array, index: Array) -> Array:
 
 def _col_sums(g: Array) -> Array:
     """Sums of an (n, o) array over its rows, by one mat-vec product."""
-    return np.ones(g.shape[0]) @ g
+    return _ONES[g.shape[0]] @ g
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -238,10 +257,11 @@ def cross_entropy(logits, labels) -> Tensor:
     check_labels(y, c)
     z = logits.data
     zmax = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - zmax)
-    lse = np.log(e.sum(axis=-1)) + zmax[:, 0]
+    s = np.exp(z - zmax)
+    sums = s.sum(axis=-1, keepdims=True)
+    lse = np.log(sums[:, 0]) + zmax[:, 0]
     data = np.asarray((lse - z[np.arange(n), y]).mean())
-    s = e / e.sum(axis=-1, keepdims=True)
+    s /= sums  # the softmax, for the backward
 
     def bwd(g: Array) -> None:
         gl = s.copy()
@@ -303,23 +323,36 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
 
 
 def layer_norm(x, scale, shift, eps: float) -> Tensor:
-    """Normalize each row to zero mean and unit variance, then scale and shift."""
+    """Normalize each row of an (n, d) array to zero mean and unit variance,
+    then scale and shift.  Row means are mat-vec row sums divided by d."""
     x, scale, shift = _wrap(x), _wrap(scale), _wrap(shift)
-    d = x.data.shape[-1]
-
-    def row_mean(a: Array) -> Array:
-        return _row_sums(a) / d
-
-    centered = x.data - row_mean(x.data)
-    inv = (row_mean(centered * centered) + eps) ** -0.5
-    xhat = centered * inv
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm expects (n, d) rows, got {x.shape}")
+    d = x.data.shape[1]
+    ones = _ONES[d]
+    mean = x.data @ ones
+    mean /= d
+    xhat = x.data - mean[:, None]
+    var = (xhat * xhat) @ ones
+    var /= d
+    var += eps
+    var **= -0.5
+    inv = var[:, None]
+    xhat *= inv
     data = xhat * scale.data
     data += shift.data
 
     def bwd(g: Array) -> None:
         if x.requires_grad:
             gx = g * scale.data
-            _accum(x, inv * (gx - row_mean(gx) - xhat * row_mean(gx * xhat)))
+            mean_gx = gx @ ones
+            mean_gx /= d
+            mean_gxx = (gx * xhat) @ ones
+            mean_gxx /= d
+            gx -= mean_gx[:, None]
+            gx -= xhat * mean_gxx[:, None]
+            gx *= inv
+            _accum(x, gx)
         if scale.requires_grad:
             _accum(scale, _col_sums(g * xhat))
         if shift.requires_grad:
@@ -343,21 +376,26 @@ def softmax(z: Array) -> Array:
     by its own max.  NaN logits raise `NumericError`.
     """
     top = z.max()
-    if np.isnan(top):
-        raise NumericError("softmax input contains NaN")
     if top < SAFE_LOGIT:
         e = np.exp(z)
         sums = _row_sums(e)
-    if top >= SAFE_LOGIT or sums.min() < TINY_ROW_SUM:
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        sums = _row_sums(e)
-    e /= sums
+        if sums.min() >= TINY_ROW_SUM:
+            e /= sums
+            return e
+    elif np.isnan(top):
+        raise NumericError("softmax input contains NaN")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= _row_sums(e)
     return e
 
 
 def softmax_grad(s: Array, g: Array) -> Array:
-    """Gradient at the logits, given softmax output `s` and its gradient `g`."""
-    return s * (g - _row_sums(g * s))
+    """Gradient at the logits, given softmax output `s` and its gradient `g`:
+    s * (g - row sums of g * s)."""
+    out = g * s
+    np.subtract(g, _row_sums(out), out=out)
+    out *= s
+    return out
 
 
 def attend(q, k, v, scale: float) -> tuple[Tensor, Array]:
@@ -370,7 +408,8 @@ def attend(q, k, v, scale: float) -> tuple[Tensor, Array]:
         if v.requires_grad:
             _accum(v, weights.T @ g)
         if q.requires_grad or k.requires_grad:
-            gl = softmax_grad(weights, g @ v.data.T) * scale
+            gl = softmax_grad(weights, g @ v.data.T)
+            gl *= scale
             if q.requires_grad:
                 _accum(q, gl @ k.data)
             if k.requires_grad:
@@ -382,55 +421,44 @@ def attend(q, k, v, scale: float) -> tuple[Tensor, Array]:
 MASK_LOGIT = -1e30  # its exponential is exactly zero, shifted or not
 
 
-def _heads(a: Array, patches: int, heads: int) -> Array:
-    """(patches*p, heads*dh) rows in slot order -> (patches*heads, p, dh)."""
-    p = a.shape[0] // patches
-    return a.reshape(patches, p, heads, -1).transpose(0, 2, 1, 3).reshape(patches * heads, p, -1)
+def _by_head(a: Array, patches: int, heads: int, dh: int) -> Array:
+    """Slot-ordered rows (patches*p, k*heads*dh), k blocks of heads side by
+    side, as a (k, patches, heads, p, dh) view: no copy."""
+    return a.reshape(patches, -1, a.shape[1] // (heads * dh), heads, dh).transpose(2, 0, 3, 1, 4)
 
 
-def _rows(a: Array, patches: int) -> Array:
-    """Inverse of `_heads`: (patches*heads, p, dh) -> (patches*p, heads*dh)."""
-    _, p, dh = a.shape
-    return a.reshape(patches, -1, p, dh).transpose(0, 2, 1, 3).reshape(patches * p, -1)
-
-
-def patch_attention(x, weights, index, heads: int, lora=None, prompts=None) -> tuple[Tensor, Array]:
+def patch_attention(x, weights, part, heads: int, lora=None, prompts=None) -> tuple[Tensor, Array]:
     """A block's multi-head attention inside each patch, as one node.
 
     `x` is (n, d) in point order; `weights` is the eight tensors
     (wq, bq, wk, bk, wv, bv, wo, bo) of the q, k, v and output projections.
-    `index` is (patches, p) point ids with -1 in padded slots.  Optional
-    `lora` = (q_down, q_up, k_down, k_up) adds x q_down q_up to q and
-    x k_down k_up to k; optional `prompts` = (pk, pv), each (m, d), are
-    prepended to every patch's keys and values.
+    `part` is the cloud's `geometry.PatchPartition`, whose per-cloud
+    constants (slot order, padding, each point's slot, the key mask) the
+    node reads instead of deriving them.  Optional `lora` = (q_down, q_up,
+    k_down, k_up) adds x q_down q_up to q and x k_down k_up to k; optional
+    `prompts` = (pk, pv), each (m, d), are prepended to every patch's keys
+    and values.
 
-    The rows are gathered into patch-slot order once, q, k and v come from
-    one product with the three weights side by side, padded keys are masked
-    out, and the output projection's rows go back to point order (padded
-    slots dropped).  The backward splits the gradients back onto the stored
-    tensors.  Also returns the softmax weights, (patches*heads, p, m+p) with
-    prompt columns first.
+    The rows are gathered into patch-slot order once (a padded partition
+    takes zero rows for its padded slots), q, k and v come from one product
+    with the three weights side by side, padded keys are masked out, and the
+    output projection's rows go back to point order with one gather by each
+    point's slot (padded slots dropped).  Per-head products are written
+    straight into their slot-ordered rows (`_by_head` views), and the
+    backward splits the gradients back onto the stored tensors.  Also
+    returns the softmax weights, (patches*heads, p, m+p) with prompt columns
+    first.
     """
     x = _wrap(x)
-    wq, bq, wk, bk, wv, bv, wo, bo = (_wrap(t) for t in weights)
-    lora = tuple(_wrap(t) for t in lora or ())
-    prompts = tuple(_wrap(t) for t in prompts or ())
-    n, d = x.data.shape
-    index = np.asarray(index, dtype=np.int64)
-    patches, p = index.shape
+    wq, bq, wk, bk, wv, bv, wo, bo = map(_wrap, weights)
+    lora = tuple(map(_wrap, lora or ()))
+    prompts = tuple(map(_wrap, prompts or ()))
+    d = x.data.shape[1]
+    patches, p, flat, padded = part.num_patches, part.patch_size, part.flat, part.padded
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    flat = index.ravel()
-    pad = flat < 0
-    padded = pad.any()
-    rows = np.where(pad, n, flat)  # each slot's row on the way back, padded slots to a spare row n
 
-    def to_points(slots: Array) -> Array:
-        out = np.empty((n + 1, d))
-        out[rows] = slots
-        return out[:n]
-
-    xs = _take_rows(x.data, flat)
+    xs = _take_rows(x.data, flat) if padded else np.take(x.data, flat, axis=0)
     w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     proj = xs @ w
     proj += np.concatenate([bq.data, bk.data, bv.data])
@@ -440,53 +468,63 @@ def patch_attention(x, weights, index, heads: int, lora=None, prompts=None) -> t
         proj[:, :d] += hq @ q_up.data
         proj[:, d : 2 * d] += hk @ k_up.data
     if padded:
-        proj[pad] = 0.0
-    qs, ks, vs = proj.reshape(patches, p, 3, heads, dh).transpose(2, 0, 3, 1, 4).reshape(3, -1, p, dh)
+        proj[part.pad_mask.ravel()] = 0.0
+    qs, ks, vs = np.ascontiguousarray(_by_head(proj, patches, heads, dh))  # each (patches, heads, p, dh)
     m = 0
     if prompts:
         m = prompts[0].data.shape[0]
 
         def per_patch(t: Tensor) -> Array:
-            split = t.data.reshape(m, heads, dh).transpose(1, 0, 2)
-            return np.broadcast_to(split, (patches, heads, m, dh)).reshape(patches * heads, m, dh)
+            return np.broadcast_to(t.data.reshape(m, heads, dh).transpose(1, 0, 2), (patches, heads, m, dh))
 
-        ks = np.concatenate([per_patch(prompts[0]), ks], axis=1)
-        vs = np.concatenate([per_patch(prompts[1]), vs], axis=1)
+        ks = np.concatenate([per_patch(prompts[0]), ks], axis=2)
+        vs = np.concatenate([per_patch(prompts[1]), vs], axis=2)
 
-    logits = qs @ ks.transpose(0, 2, 1)
+    def transposed(a: Array) -> Array:
+        """a^T per patch and head, the right operand of a product.  Copied
+        to be contiguous, it multiplies faster than as a strided view; but
+        with prompt columns (m + p keys) the copy moves the last bits at some
+        widths (d = 64), so a pass with prompts keeps the view and its bytes."""
+        t = a.swapaxes(2, 3)
+        return t if m else np.ascontiguousarray(t)
+
+    logits = qs @ transposed(ks)
     logits *= scale
     if padded:
-        key_pad = np.repeat(index < 0, heads, axis=0)[:, None, :]
-        logits[:, :, m:] = np.where(key_pad, MASK_LOGIT, logits[:, :, m:])
+        np.copyto(logits[..., m:], MASK_LOGIT, where=part.key_pad)
     attn = softmax(logits)
-    mixed = _rows(attn @ vs, patches)
+    mixed = np.empty((flat.size, d))
+    np.matmul(attn, vs, out=_by_head(mixed, patches, heads, dh)[0])
     out = mixed @ wo.data
     out += bo.data
-    data = to_points(out)
+    data = np.take(out, part.slot_of_point, axis=0)
     inputs = (x, wq, bq, wk, bk, wv, bv, *lora, *prompts)
 
     def bwd(g: Array) -> None:
-        gs = _take_rows(g, flat)
+        gs = _take_rows(g, flat) if padded else np.take(g, flat, axis=0)
         if wo.requires_grad:
             _accum(wo, mixed.T @ gs)
         if bo.requires_grad:
             _accum(bo, _col_sums(gs))
         if not any(t.requires_grad for t in inputs):
             return
-        gmixed = _heads(gs @ wo.data.T, patches, heads)
-        gv = attn.transpose(0, 2, 1) @ gmixed
-        gl = softmax_grad(attn, gmixed @ vs.transpose(0, 2, 1)) * scale
-        gk = gl.transpose(0, 2, 1) @ qs
+        gmixed = _by_head(gs @ wo.data.T, patches, heads, dh)[0]
+        gl = softmax_grad(attn, gmixed @ transposed(vs))
+        gl *= scale
         gproj = np.empty((flat.size, 3 * d))
-        by_head = gproj.reshape(patches, p, 3, heads, dh)
-        for i, grad in enumerate((gl @ ks, gk[:, m:], gv[:, m:])):
-            by_head[:, :, i] = grad.reshape(patches, heads, p, dh).transpose(0, 2, 1, 3)
-        for t, grad in zip(prompts, (gk[:, :m], gv[:, :m])):
-            if t.requires_grad:
-                summed = grad.reshape(patches, heads, m, dh).sum(axis=0)
-                _accum(t, summed.transpose(1, 0, 2).reshape(m, d))
-        gw = xs.T @ gproj if any(t.requires_grad for t in (wq, wk, wv)) else None
-        gb = _col_sums(gproj)
+        gq, gk, gv = _by_head(gproj, patches, heads, dh)
+        np.matmul(gl, ks, out=gq)
+        for i, (left, right, slots) in enumerate(((gl, qs, gk), (attn, gmixed, gv))):
+            if not m:
+                np.matmul(left.swapaxes(2, 3), right, out=slots)
+                continue
+            grad = left.swapaxes(2, 3) @ right  # prompt rows first
+            slots[...] = grad[:, :, m:]
+            if prompts[i].requires_grad:
+                summed = grad[:, :, :m].sum(axis=0)
+                _accum(prompts[i], summed.transpose(1, 0, 2).reshape(m, d))
+        gw = xs.T @ gproj if wq.requires_grad or wk.requires_grad or wv.requires_grad else None
+        gb = _col_sums(gproj) if bq.requires_grad or bk.requires_grad or bv.requires_grad else None
         for i, (wt, bt) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
             cols = slice(i * d, (i + 1) * d)
             if wt.requires_grad:
@@ -507,9 +545,9 @@ def patch_attention(x, weights, index, heads: int, lora=None, prompts=None) -> t
                 if gxs is not None:
                     gxs += gh @ down.data.T
         if gxs is not None:
-            _accum(x, to_points(gxs))
+            _accum(x, np.take(gxs, part.slot_of_point, axis=0))
 
-    return _node(data, (*inputs, wo, bo), bwd), attn
+    return _node(data, (*inputs, wo, bo), bwd), attn.reshape(patches * heads, p, m + p)
 
 
 def stencil(vox, neighbors, kernels) -> Tensor:
@@ -573,7 +611,7 @@ def backward(loss: Tensor) -> None:
                 nodes.append(parent)
     # A node is stamped after its inputs, so descending stamps put each node
     # before everything it was computed from.
-    nodes.sort(key=lambda t: t._seq, reverse=True)
+    nodes.sort(key=_STAMP, reverse=True)
 
     loss.grad = np.ones_like(loss.data)
     for node in nodes:
@@ -596,6 +634,7 @@ class ParamStore:
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
         self._frozen: dict[str, bool] = {}
+        self._split: tuple[list, list] | None = None  # see `_items`
 
     def add(self, name: str, value, frozen: bool = False) -> Tensor:
         if name in self._entries:
@@ -604,6 +643,7 @@ class ParamStore:
         t.requires_grad = not frozen
         self._entries[name] = t
         self._frozen[name] = frozen
+        self._split = None
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -621,11 +661,24 @@ class ParamStore:
     def set_frozen(self, name: str, flag: bool) -> None:
         self._frozen[name] = flag
         self._entries[name].requires_grad = not flag
+        self._split = None
         if flag:
             self._entries[name].grad = None
 
+    def _items(self) -> tuple[list, list]:
+        """The trainable and the frozen (name, tensor) pairs in store order,
+        listed once and kept until the next `add` or `set_frozen`."""
+        if self._split is None:
+            self._split = ([], [])
+            for name, t in self._entries.items():
+                self._split[self._frozen[name]].append((name, t))
+        return self._split
+
     def trainable_items(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self._entries.items() if not self._frozen[n]]
+        return list(self._items()[0])
+
+    def frozen_items(self) -> list[tuple[str, Tensor]]:
+        return list(self._items()[1])
 
     @property
     def total_count(self) -> int:

@@ -229,7 +229,7 @@ def local_attention(
     dh = d // heads
     weights = [store[f"{prefix}.{proj}.{kind}"] for proj in PROJECTIONS for kind in ("weight", "bias")]
 
-    out, attn = ag.patch_attention(x, weights, part.index, heads, lora, prompts)
+    out, attn = ag.patch_attention(x, weights, part, heads, lora, prompts)
     if tracer is not None:
         tracer.record(f"{site}.attn_proj", 4 * n * d * d)
         if lora is not None:

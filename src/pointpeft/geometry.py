@@ -112,13 +112,26 @@ def morton_order(keys: Array) -> Array:
 
 @dataclass(frozen=True)
 class PatchPartition:
-    """Contiguous chunks of a serialized point order, last chunk padded."""
+    """Contiguous chunks of a serialized point order, last chunk padded.
+
+    Besides `index` and `pad_mask`, it holds the constants patch attention
+    reads on every pass, derived here once per cloud: `flat`, the slots in
+    order (`index.ravel()`); `padded`, whether any slot is padding;
+    `slot_of_point`, each point's slot (so `flat[slot_of_point[i]] == i`),
+    which takes slot-ordered rows back to point order with one gather; and
+    `key_pad`, `pad_mask` shaped (num_patches, 1, 1, patch_size) to
+    broadcast over heads and query rows.
+    """
 
     order: Array
     patch_size: int
     num_patches: int
     index: Array  # (num_patches, patch_size) point indices, -1 in padded slots
     pad_mask: Array  # (num_patches, patch_size) True where the slot is padding
+    flat: Array
+    padded: bool
+    slot_of_point: Array
+    key_pad: Array
 
     @property
     def n(self) -> int:
@@ -133,15 +146,22 @@ def partition(order: Array, n: int, p: int) -> PatchPartition:
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise UsageError("order must be a permutation of [0, n)")
     num_patches = -(-n // p)
-    index = np.full(num_patches * p, -1, dtype=np.int64)
-    index[:n] = order
-    index = index.reshape(num_patches, p)
+    flat = np.full(num_patches * p, -1, dtype=np.int64)
+    flat[:n] = order
+    index = flat.reshape(num_patches, p)
+    pad_mask = index < 0
+    slot_of_point = np.empty(n, dtype=np.int64)
+    slot_of_point[order] = np.arange(n)
     return PatchPartition(
         order=order,
         patch_size=p,
         num_patches=num_patches,
         index=index,
-        pad_mask=index < 0,
+        pad_mask=pad_mask,
+        flat=flat,
+        padded=n < flat.size,
+        slot_of_point=slot_of_point,
+        key_pad=pad_mask[:, None, None, :],
     )
 
 

@@ -95,8 +95,8 @@ def _shared_zeros(*shape: int) -> Array:
 class OptState:
     """Optimizer state for every trainable scalar as one flat vector, laid out
     in `store.trainable_items()` order by `bind`.  `w` holds the parameters
-    themselves and row k of `rows` a batch's k-th flat gradient, both in
-    memory a forked `_Helper` shares; `g`, row 0, takes the batch's sum."""
+    themselves, in memory a forked `_Helper` shares; `g` takes the batch's
+    gradient sum, and `s` is scratch."""
 
     ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
     SGD_MOMENTUM = 0.9
@@ -120,8 +120,7 @@ class OptState:
             self.m, self.v = np.zeros(size), np.zeros(size)
         else:
             self.vel = np.zeros(size)
-        self.rows = _shared_zeros(self.config.batch_size, size)
-        self.g, self.s = self.rows[0], np.zeros(size)  # s is scratch
+        self.g, self.s = np.zeros(size), np.zeros(size)
         self.w = _shared_zeros(size)
         end = 0
         for _, t in items:
@@ -132,8 +131,8 @@ class OptState:
 
 
 def _check_frozen_grads(store: ParamStore) -> None:
-    for name, t in store.items():
-        if store.frozen(name) and t.grad is not None:
+    for name, t in store.frozen_items():
+        if t.grad is not None:
             raise FreezeViolation(f"gradient populated on frozen parameter {name}")
 
 
@@ -472,8 +471,10 @@ def _cloud_grads(
         raise NumericError(f"loss diverged to {value} at epoch {epoch}")
     ag.backward(ag.mul(loss, scale))
     _check_frozen_grads(store)
-    _flat_grads(store.trainable_items(), flat)
-    store.zero_grads()
+    items = store.trainable_items()
+    _flat_grads(items, flat)
+    for _, t in items:  # frozen ones hold none, as just checked
+        t.grad = None
     return value
 
 
@@ -515,12 +516,13 @@ class _Helper:
     Each work is a closure over the call's store, attachment, clouds and
     resume points, which the child inherits.  Arrays travel through memory
     both processes map: the parameters in `OptState.w`, bound before the
-    fork, and each cloud's flat gradient in its row of `OptState.rows`; the
-    parent steps only after a `reply`, while the helper waits for its next
-    request.  The pipe carries only the requests and the small rest of
-    each answer (losses, a confusion matrix) or the exception the work
-    raised, which `reply` raises here.  The helper exits after answering a
-    request marked `last`, or when the parent closes its end or dies.
+    fork, and the flat gradient of each cloud of the helper's share in its
+    own row (`_run_epochs`); the parent steps only after a `reply`, while
+    the helper waits for its next request.  The pipe carries only the
+    requests and the small rest of each answer (losses, a confusion matrix)
+    or the exception the work raised, which `reply` raises here.  The
+    helper exits after answering a request marked `last`, or when the
+    parent closes its end or dies.
     """
 
     def __init__(self, *works):
@@ -582,9 +584,11 @@ def _run_epochs(
     tconfig: TrainConfig,
     record: RunRecord,
 ) -> None:
-    """Every batch's k-th cloud writes its flat gradient into row k of
-    `OptState.rows`, and the rows are summed in batch order into row 0, so
-    a batch split with the helper gives the serial bytes.
+    """A batch's flat gradients are summed into `OptState.g` in batch
+    order, so a batch split with the helper gives the serial bytes: the
+    parent's share (the first half, or all of a serial batch) adds each
+    cloud's as it finishes, and then the helper's share, one row each of
+    memory both processes map, in slot order.
 
     Each epoch's metrics come from `evaluate` on `eval_prepared` after the
     epoch's last step, unless `eval_prepared is prepared` (no eval split was
@@ -608,19 +612,31 @@ def _run_epochs(
     eval_resume = resume if eval_prepared is prepared else resume_points(eval_prepared)
 
     def grads(slots: range, chunk: list[int], epoch: int, count: bool):
+        """A share starting at slot 0 sums into `state.g` (slot 0 directly,
+        each later one through `state.s`); the helper's share, starting
+        later, writes slot k's gradient into row k - slots.start of `rows`."""
         cm = ConfusionMatrix(bconfig.num_classes) if count else None
         scale = 1.0 / len(chunk)
-        losses = [
-            _cloud_grads(
-                store, attachment, prepared[chunk[k]], resume[chunk[k]], bconfig, scale, epoch,
-                cm, state.rows[k],
+        losses = []
+        for k in slots:
+            if slots.start:
+                flat = rows[k - slots.start]
+            else:
+                flat = state.s if k else state.g
+            losses.append(
+                _cloud_grads(
+                    store, attachment, prepared[chunk[k]], resume[chunk[k]], bconfig, scale, epoch,
+                    cm, flat,
+                )
             )
-            for k in slots
-        ]
+            if k and not slots.start:
+                state.g += state.s
         return losses, cm
 
-    helper = None
+    helper = rows = None
     if _split_allowed(attachment, bconfig):
+        # the helper's share of a batch is its second half, rounded up
+        rows = _shared_zeros(tconfig.batch_size - tconfig.batch_size // 2, state.w.size)
         helper = _Helper(grads, _confusion_work(store, attachment, eval_prepared, bconfig, eval_resume))
     with helper or nullcontext():
         for epoch in range(tconfig.epochs):
@@ -633,12 +649,15 @@ def _run_epochs(
                 cm = ConfusionMatrix(bconfig.num_classes)
             for start in range(0, len(order), tconfig.batch_size):
                 chunk = [int(i) for i in order[start : start + tconfig.batch_size]]
-                for values, counted in _halves(helper, grads, len(chunk), chunk, epoch, cm is not None):
+                for share, (values, counted) in enumerate(
+                    _halves(helper, grads, len(chunk), chunk, epoch, cm is not None)
+                ):
                     losses += values
                     if cm is not None:
                         cm.merge(counted)
-                for row in state.rows[1 : len(chunk)]:
-                    state.g += row
+                    if share:  # the helper's, after the parent's own
+                        for row in rows[: len(values)]:
+                            state.g += row
                 step(store, state, lr)
             if cm is not None:
                 metrics = cm.metrics()

@@ -24,9 +24,10 @@ from test_graph_size import ACCEPTANCE
 
 # method: (training pass, graph-free pass), each as (Python calls, built-in calls)
 BUDGET = {
-    "gem": ((1825, 1434), (995, 539)),
-    "lora": ((1037, 702), (601, 301)),
-    None: ((1133, 881), (554, 300)),  # the plain backbone, as pretraining runs it
+    "gem": ((1199, 1044), (855, 464)),
+    "lora": ((617, 476), (461, 235)),
+    "prompt": ((677, 532), (521, 271)),
+    None: ((683, 554), (430, 234)),  # the plain backbone, as pretraining runs it
 }
 
 

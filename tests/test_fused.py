@@ -199,9 +199,10 @@ class TestAttend:
 # patch attention
 
 
-def padded_index(rng, n, p):
-    """A random point order chunked into patches of p, the last one padded."""
-    return geo.partition(rng.permutation(n), n, p).index
+def shuffled_partition(rng, n, p):
+    """A random point order chunked into patches of p, the last one padded
+    unless p divides n."""
+    return geo.partition(rng.permutation(n), n, p)
 
 
 def attention_case(rng, n, d, m=0, r=0):
@@ -222,92 +223,124 @@ class TestPatchAttention:
     def test_matches_split_heads_oracle(self, m):
         rng = np.random.default_rng(8 + m)
         n, d, heads, p = 23, 8, 2, 5
-        index = padded_index(rng, n, p)
+        part = shuffled_partition(rng, n, p)
         x, weights, prompts, _ = attention_case(rng, n, d, m=m)
-        out, attn = ag.patch_attention(x, weights, index, heads, prompts=prompts)
-        want, want_w = attention_oracle(x.data, data_of(weights), index, heads, prompts=data_of(prompts))
-        assert attn.shape == (index.shape[0] * heads, p, m + p)
+        out, attn = ag.patch_attention(x, weights, part, heads, prompts=prompts)
+        want, want_w = attention_oracle(x.data, data_of(weights), part.index, heads, prompts=data_of(prompts))
+        assert attn.shape == (part.num_patches * heads, p, m + p)
         np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
     def test_lora_matches_oracle(self):
         rng = np.random.default_rng(20)
         n, d, heads, p = 23, 8, 2, 5
-        index = padded_index(rng, n, p)
+        part = shuffled_partition(rng, n, p)
         x, weights, _, lora = attention_case(rng, n, d, r=3)
-        out, attn = ag.patch_attention(x, weights, index, heads, lora=lora)
-        want, want_w = attention_oracle(x.data, data_of(weights), index, heads, lora=data_of(lora))
+        out, attn = ag.patch_attention(x, weights, part, heads, lora=lora)
+        want, want_w = attention_oracle(x.data, data_of(weights), part.index, heads, lora=data_of(lora))
         np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
     def test_unpadded_patches_match_oracle(self):
         rng = np.random.default_rng(21)
         n, d, heads, p = 20, 8, 4, 5
-        index = padded_index(rng, n, p)
-        assert (index >= 0).all()
+        part = shuffled_partition(rng, n, p)
+        assert (part.index >= 0).all()
         x, weights, prompts, lora = attention_case(rng, n, d, m=2, r=2)
-        out, attn = ag.patch_attention(x, weights, index, heads, lora, prompts)
+        out, attn = ag.patch_attention(x, weights, part, heads, lora, prompts)
         want, want_w = attention_oracle(
-            x.data, data_of(weights), index, heads, data_of(lora), data_of(prompts)
+            x.data, data_of(weights), part.index, heads, data_of(lora), data_of(prompts)
         )
         np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("r", [0, 3], ids=["no_lora", "lora"])
+    @pytest.mark.parametrize("m", [0, 3], ids=["no_prompts", "prompts"])
+    @pytest.mark.parametrize("n", [23, 20], ids=["padded", "unpadded"])
+    def test_partition_matches_oracle(self, n, m, r):
+        """Both paths of the node: a padded partition gathers zero rows for
+        its padded slots and masks their keys, an unpadded one does neither."""
+        rng = np.random.default_rng(40 + n + m + r)
+        d, heads, p = 8, 2, 5
+        part = shuffled_partition(rng, n, p)
+        assert part.padded == (n % p != 0)
+        x, weights, prompts, lora = attention_case(rng, n, d, m=m, r=r)
+        out, attn = ag.patch_attention(x, weights, part, heads, lora, prompts)
+        want, want_w = attention_oracle(
+            x.data, data_of(weights), part.index, heads, data_of(lora), data_of(prompts)
+        )
+        np.testing.assert_allclose(attn, want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [0, 2], ids=["no_lora", "lora"])
+    @pytest.mark.parametrize("m", [0, 2], ids=["no_prompts", "prompts"])
+    @pytest.mark.parametrize("n", [7, 6], ids=["padded", "unpadded"])
+    def test_partition_central_differences(self, n, m, r):
+        rng = np.random.default_rng(50 + n + m + r)
+        part = shuffled_partition(rng, n, 3)
+        assert part.padded == (n % 3 != 0)
+        x, weights, prompts, lora = attention_case(rng, n, 4, m=m, r=r)
+        g = probe(rng, n, 4)
+        fd_check(
+            lambda: ag.mul(ag.patch_attention(x, weights, part, 2, lora, prompts)[0], g),
+            [x, *weights, *(prompts or ()), *(lora or ())],
+        )
+
     def test_padded_keys_get_zero_weight(self):
         rng = np.random.default_rng(10)
-        index = padded_index(rng, 7, 4)
+        part = shuffled_partition(rng, 7, 4)
         x, weights, _, _ = attention_case(rng, 7, 4)
-        _, attn = ag.patch_attention(x, weights, index, 2)
+        _, attn = ag.patch_attention(x, weights, part, 2)
         assert (attn[-2:, :, 3:] == 0.0).all()
 
     def test_central_differences_with_prompts_and_padding(self):
         rng = np.random.default_rng(11)
         n, d, heads, p, m = 7, 4, 2, 3, 2
-        index = padded_index(rng, n, p)
-        assert (index < 0).any()
+        part = shuffled_partition(rng, n, p)
+        assert (part.index < 0).any()
         x, weights, prompts, _ = attention_case(rng, n, d, m=m)
         g = probe(rng, n, d)
         fd_check(
-            lambda: ag.mul(ag.patch_attention(x, weights, index, heads, prompts=prompts)[0], g),
+            lambda: ag.mul(ag.patch_attention(x, weights, part, heads, prompts=prompts)[0], g),
             [x, *weights, *prompts],
         )
 
     def test_central_differences_without_prompts(self):
         rng = np.random.default_rng(12)
-        index = padded_index(rng, 6, 4)
+        part = shuffled_partition(rng, 6, 4)
         x, weights, _, _ = attention_case(rng, 6, 4)
         g = probe(rng, 6, 4)
-        fd_check(lambda: ag.mul(ag.patch_attention(x, weights, index, 2)[0], g), [x, *weights])
+        fd_check(lambda: ag.mul(ag.patch_attention(x, weights, part, 2)[0], g), [x, *weights])
 
     def test_central_differences_with_lora(self):
         rng = np.random.default_rng(22)
-        index = padded_index(rng, 7, 3)
+        part = shuffled_partition(rng, 7, 3)
         x, weights, _, lora = attention_case(rng, 7, 4, r=2)
         g = probe(rng, 7, 4)
         fd_check(
-            lambda: ag.mul(ag.patch_attention(x, weights, index, 2, lora=lora)[0], g),
+            lambda: ag.mul(ag.patch_attention(x, weights, part, 2, lora=lora)[0], g),
             [x, *weights, *lora],
         )
 
     def test_frozen_inputs_get_no_gradient(self):
         """Gradients land on the stored tensors passed in, and only on trainable ones."""
         rng = np.random.default_rng(23)
-        index = padded_index(rng, 7, 3)
+        part = shuffled_partition(rng, 7, 3)
         x, weights, _, lora = attention_case(rng, 7, 4, r=2)
         frozen = [x, weights[0], weights[3], weights[6], lora[0]]
         for t in frozen:
             t.requires_grad = False
-        ag.backward(tsum(ag.patch_attention(x, weights, index, 2, lora=lora)[0]))
+        ag.backward(tsum(ag.patch_attention(x, weights, part, 2, lora=lora)[0]))
         assert all(t.grad is None for t in frozen)
         assert all(t.grad is not None for t in (*weights, *lora) if t.requires_grad)
 
     def test_nan_logits_rejected(self):
         rng = np.random.default_rng(13)
-        index = padded_index(rng, 5, 4)
+        part = shuffled_partition(rng, 5, 4)
         x, weights, _, _ = attention_case(rng, 5, 4)
         x.data[2, 0] = np.nan
         with pytest.raises(NumericError):
-            ag.patch_attention(x, weights, index, 2)
+            ag.patch_attention(x, weights, part, 2)
 
 
 # ---------------------------------------------------------------------------

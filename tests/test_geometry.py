@@ -128,6 +128,19 @@ class TestPartition:
         with pytest.raises(UsageError):
             geo.partition(np.array([0, 0, 2]), 3, 2)
 
+    @pytest.mark.parametrize("n, p", [(37, 8), (40, 8), (1, 4)])
+    def test_derived_fields_follow_from_index(self, n, p):
+        """The constants patch attention reads, against their definitions."""
+        order = np.random.default_rng(n).permutation(n)
+        part = geo.partition(order, n, p)
+        assert np.array_equal(part.flat, part.index.ravel())
+        assert part.padded is bool((part.index < 0).any())
+        assert np.array_equal(part.pad_mask, part.index < 0)
+        for point in range(n):
+            assert part.flat[part.slot_of_point[point]] == point
+        assert part.key_pad.shape == (part.num_patches, 1, 1, p)
+        assert np.array_equal(part.key_pad[:, 0, 0], part.index < 0)
+
 
 def reference_neighbor_voxels(coords, voxel_size, k=3):
     """The stencil by dictionary lookup: one probe per voxel and offset."""

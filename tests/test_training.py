@@ -494,6 +494,17 @@ class TestFinetune:
         assert record.subset_seed is not None
         assert "subset_seed" in record.to_text()
 
+    def test_cloud_grads_flags_gradient_on_frozen_parameter(self):
+        """A frozen tensor whose flag was set behind the store's back takes a
+        gradient; the per-cloud work raises, as `step`'s check would."""
+        bconfig, store = self.make_pretrained()
+        attachment = peft.attach(peft.PeftConfig(method="lora", rank=2), store, bconfig)
+        (pc,) = tr.prepare(tiny_dataset(1, seed=17), bconfig)
+        store["backbone.ln_out.scale"].requires_grad = True
+        flat = np.empty(store.trainable_count)
+        with pytest.raises(FreezeViolation, match="backbone.ln_out.scale"):
+            tr._cloud_grads(store, attachment, pc, None, bconfig, 1.0, 0, None, flat)
+
     def test_bad_fraction_rejected(self):
         bconfig, store = self.make_pretrained()
         with pytest.raises(UsageError):
