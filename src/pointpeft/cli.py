@@ -23,41 +23,40 @@ from . import training as tr
 from .errors import PointPeftError, UsageError
 from .geometry import load_cloud, load_scene_spec, read_text, scene_spec_text
 
-RANK_METHODS = ("adapter", "lora", "gem", "gem_sa_only", "gem_ca_only")
-TOKEN_METHODS = ("prompt", "gem", "gem_ca_only")
-SHARING_METHODS = ("gem", "gem_ca_only")
-
 
 # ---------------------------------------------------------------------------
 # flag groups
 
 
 def _train_flags(p: argparse.ArgumentParser, epochs: int) -> None:
+    t = tr.TrainConfig()
     p.add_argument("--epochs", type=int, default=epochs)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--wd", type=float, default=1e-2)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--optimizer", choices=("adamw", "sgd_momentum"), default="adamw")
-    p.add_argument("--schedule", choices=("constant", "cosine"), default="cosine")
+    p.add_argument("--lr", type=float, default=t.learning_rate)
+    p.add_argument("--wd", type=float, default=t.weight_decay)
+    p.add_argument("--batch-size", type=int, default=t.batch_size)
+    p.add_argument("--seed", type=int, default=t.seed)
+    p.add_argument("--optimizer", choices=tr.OPTIMIZERS, default=t.optimizer)
+    p.add_argument("--schedule", choices=tr.SCHEDULES, default=t.lr_schedule)
 
 
 def _backbone_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--blocks", type=int, default=8)
-    p.add_argument("--patch-size", type=int, default=16)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn-mult", type=int, default=4)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--voxel-size", type=float, default=0.5)
+    b = bb.BackboneConfig()
+    p.add_argument("--d", type=int, default=b.d)
+    p.add_argument("--blocks", type=int, default=b.blocks)
+    p.add_argument("--patch-size", type=int, default=b.patch_size)
+    p.add_argument("--heads", type=int, default=b.heads)
+    p.add_argument("--ffn-mult", type=int, default=b.ffn_mult)
+    p.add_argument("--classes", type=int, default=b.num_classes)
+    p.add_argument("--voxel-size", type=float, default=b.voxel_size)
     p.add_argument("--stages", default="", help="comma list of a:b block ranges")
 
 
 def _peft_flags(p: argparse.ArgumentParser) -> None:
+    c = pf.PeftConfig()
     p.add_argument("--method", choices=pf.METHODS, required=True)
-    p.add_argument("--rank", type=int, default=pf.DEFAULT_RANK)
-    p.add_argument("--tokens", type=int, default=pf.DEFAULT_TOKENS)
-    p.add_argument("--sharing", choices=pf.SHARING_MODES, default="global")
+    p.add_argument("--rank", type=int, default=c.rank)
+    p.add_argument("--tokens", type=int, default=c.tokens)
+    p.add_argument("--sharing", choices=pf.SHARING_MODES, default=c.sharing)
     p.add_argument("--insert-blocks", default="all", help="comma list of block ids")
 
 
@@ -302,6 +301,8 @@ def _cmd_count_ops(args, command: str) -> int:
 
 _SWEEP_LIST_KEYS = ("methods", "ranks", "tokens", "sharing", "seeds", "budgets")
 _SWEEP_SCALAR_KEYS = {"epochs": int, "lr": float, "wd": float, "batch_size": int, "data_fraction": float}
+# the `TrainConfig` field each training key sets; unset ones keep its defaults
+_SWEEP_TRAIN_FIELDS = {"epochs": "epochs", "lr": "learning_rate", "wd": "weight_decay", "batch_size": "batch_size"}
 
 
 def _sweep_number(key: str, text: str, kind):
@@ -354,7 +355,7 @@ def expand_sweep_cells(cfg: dict, bconfig: bb.BackboneConfig) -> list[pf.PeftCon
             cells.append(pconfig)
 
     for method in cfg["methods"]:
-        share_axis = sharing if method in SHARING_METHODS else ("global",)
+        share_axis = sharing if method in pf.SHARING_METHODS else ("global",)
         if budgets:
             for budget in budgets:
                 fitted = pf.budget_fit(method, budget, bconfig)
@@ -366,8 +367,8 @@ def expand_sweep_cells(cfg: dict, bconfig: bb.BackboneConfig) -> list[pf.PeftCon
                         )
                     )
             continue
-        rank_axis = ranks if method in RANK_METHODS else (pf.DEFAULT_RANK,)
-        token_axis = tokens if method in TOKEN_METHODS else (pf.DEFAULT_TOKENS,)
+        rank_axis = ranks if method in pf.RANK_METHODS else (pf.DEFAULT_RANK,)
+        token_axis = tokens if method in pf.TOKEN_METHODS else (pf.DEFAULT_TOKENS,)
         for r, m, sh in itertools.product(rank_axis, token_axis, share_axis):
             push(pf.PeftConfig(method=method, rank=r, tokens=m, sharing=sh))
     return cells
@@ -376,15 +377,9 @@ def expand_sweep_cells(cfg: dict, bconfig: bb.BackboneConfig) -> list[pf.PeftCon
 def _cmd_sweep(args, command: str) -> int:
     cfg = parse_sweep_config(read_text(args.config))
     num = {key: _sweep_number(key, cfg[key], kind) for key, kind in _SWEEP_SCALAR_KEYS.items() if key in cfg}
+    train = {"epochs": 5, **{field: num[key] for key, field in _SWEEP_TRAIN_FIELDS.items() if key in num}}
     tconfigs = [
-        tr.TrainConfig(
-            epochs=num.get("epochs", 5),
-            learning_rate=num.get("lr", 1e-3),
-            weight_decay=num.get("wd", 1e-2),
-            batch_size=num.get("batch_size", 8),
-            seed=_sweep_number("seeds", seed, int),
-        )
-        for seed in cfg.get("seeds", ("0",))
+        tr.TrainConfig(seed=_sweep_number("seeds", seed, int), **train) for seed in cfg.get("seeds", ("0",))
     ]
     fraction = num.get("data_fraction", 1.0)
     bconfig, bstore = bb.load_backbone(args.backbone)

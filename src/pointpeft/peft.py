@@ -36,6 +36,9 @@ METHODS = (
     "gem_sa_only",
     "gem_ca_only",
 )
+RANK_METHODS = ("adapter", "lora", "gem", "gem_sa_only", "gem_ca_only")
+TOKEN_METHODS = ("prompt", "gem", "gem_ca_only")
+SHARING_METHODS = ("gem", "gem_ca_only")
 SHARING_MODES = ("per_block", "per_stage", "global")
 
 STENCIL_K = 3  # the only stencil size; configs record it as `k`
@@ -113,10 +116,14 @@ class PeftConfig:
         return self.method in ("gem", "gem_ca_only")
 
 
-def bitfit_select(store: ParamStore) -> None:
-    """Freeze everything, then unfreeze exactly the bias/shift parameters."""
-    for name in store.names():
-        store.set_frozen(name, not (name.endswith(".bias") or name.endswith(".shift")))
+def trains(method: str, name: str) -> bool:
+    """Whether `method` trains the store entry `name`: the entries it adds
+    and the head under every method, and under BitFit also every backbone
+    entry named `*.bias` or `*.shift` (the positional MLP's `b1` and `b2`
+    are neither).  Everything else stays frozen."""
+    return name.startswith(("peft.", "head.")) or (
+        method == "bitfit" and name.endswith((".bias", ".shift"))
+    )
 
 
 class PeftAttachment:
@@ -311,66 +318,45 @@ def context_adapter_branch(
 # attachment construction
 
 
-def _add_peft_params(
-    config: PeftConfig, bconfig: BackboneConfig, store: ParamStore, rng: np.random.Generator
-) -> None:
+def _plan(config: PeftConfig, bconfig: BackboneConfig):
+    """(name, shape, init bound) of every entry `config` adds, in creation
+    order; entries draw uniformly from [-bound, bound], and bound 0 means
+    zeros."""
     d, r, m = bconfig.d, config.rank, config.tokens
-    bound = 1.0 / math.sqrt(d)
-
-    def down(shape):
-        return rng.uniform(-bound, bound, shape)
-
-    blocks = config.active_blocks(bconfig.blocks)
-    if config.method == "adapter":
-        for i in blocks:
-            store.add(f"peft.block{i}.adapter.down", down((d, r)))
-            store.add(f"peft.block{i}.adapter.up", np.zeros((r, d)))
-    elif config.method == "lora":
-        for i in blocks:
-            store.add(f"peft.block{i}.lora.q_down", down((d, r)))
-            store.add(f"peft.block{i}.lora.q_up", np.zeros((r, d)))
-            store.add(f"peft.block{i}.lora.k_down", down((d, r)))
-            store.add(f"peft.block{i}.lora.k_up", np.zeros((r, d)))
-    elif config.method == "prompt":
-        for i in blocks:
-            store.add(f"peft.block{i}.prompt.pk", down((m, d)))
-            store.add(f"peft.block{i}.prompt.pv", down((m, d)))
+    b = 1.0 / math.sqrt(d)
+    ca = [(f"ca.{n}", (d, r), b) for n in ("q_down", "k_down", "v_down")]
+    ca += [(f"ca.{n}", (r, r), b) for n in ("wq", "wk", "wv")] + [("ca.up", (r, d), 0)]
+    per_block = ca if config.has_context else {
+        "adapter": [("adapter.down", (d, r), b), ("adapter.up", (r, d), 0)],
+        "lora": [
+            ("lora.q_down", (d, r), b), ("lora.q_up", (r, d), 0),
+            ("lora.k_down", (d, r), b), ("lora.k_up", (r, d), 0),
+        ],
+        "prompt": [("prompt.pk", (m, d), b), ("prompt.pv", (m, d), b)],
+    }.get(config.method, [])
+    plan = []
     if config.has_spatial:
-        store.add("peft.sa.down", down((d, r)))
-        for name in KERNEL_NAMES:
-            store.add(name, down((r, r)))
-        store.add("peft.sa.up", np.zeros((r, d)))
+        plan += [("peft.sa.down", (d, r), b), *((n, (r, r), b) for n in KERNEL_NAMES)]
+        plan.append(("peft.sa.up", (r, d), 0))
+    blocks = config.active_blocks(bconfig.blocks)
+    plan += [(f"peft.block{i}.{n}", shape, bound) for i in blocks for n, shape, bound in per_block]
     if config.has_context:
-        for i in blocks:
-            pre = f"peft.block{i}.ca"
-            store.add(f"{pre}.q_down", down((d, r)))
-            store.add(f"{pre}.k_down", down((d, r)))
-            store.add(f"{pre}.v_down", down((d, r)))
-            store.add(f"{pre}.wq", down((r, r)))
-            store.add(f"{pre}.wk", down((r, r)))
-            store.add(f"{pre}.wv", down((r, r)))
-            store.add(f"{pre}.up", np.zeros((r, d)))
-        store.add("peft.ca.latent", rng.uniform(-1.0 / math.sqrt(r), 1.0 / math.sqrt(r), (m, r)))
+        plan.append(("peft.ca.latent", (m, r), 1.0 / math.sqrt(r)))
+    return plan
 
 
 def attach(
     config: PeftConfig, store: ParamStore, bconfig: BackboneConfig, seed: int = 0
 ) -> PeftAttachment:
-    """Freeze the backbone, create the method's parameters, wire the hooks.
-
-    The head stays trainable under every method; BitFit additionally
-    unfreezes every bias/shift term.
-    """
-    for name in store.names():
-        if name.startswith("peft."):
-            raise ContractError("store already carries an attachment")
-        store.set_frozen(name, True)
-    if config.method == "bitfit":
-        bitfit_select(store)
+    """Create the method's entries from its plan, freeze whatever it does
+    not train (`trains`), wire the hooks."""
+    if any(name.startswith("peft.") for name in store.names()):
+        raise ContractError("store already carries an attachment")
     rng = ag.named_rng(seed, "peft-init")
-    _add_peft_params(config, bconfig, store, rng)
-    store.set_frozen("head.weight", False)
-    store.set_frozen("head.bias", False)
+    for name, shape, bound in _plan(config, bconfig):
+        store.add(name, rng.uniform(-bound, bound, shape) if bound else np.zeros(shape))
+    for name in store.names():
+        store.set_frozen(name, not trains(config.method, name))
     return PeftAttachment(config, bconfig, store)
 
 
@@ -378,49 +364,21 @@ def attach(
 # parameter accounting
 
 
-def backbone_param_count(bconfig: BackboneConfig) -> int:
-    """All backbone plus head scalars, from the declared layout."""
-    return sum(int(np.prod(s, dtype=np.int64)) for s in expected_layout(bconfig).values())
-
-
-def head_param_count(bconfig: BackboneConfig) -> int:
-    return bconfig.d * bconfig.num_classes + bconfig.num_classes
-
-
 def peft_param_count(config: PeftConfig, bconfig: BackboneConfig) -> int:
-    """Closed-form count of the scalars a method adds (head excluded)."""
-    d, r, m = bconfig.d, config.rank, config.tokens
-    nblocks = len(config.active_blocks(bconfig.blocks))
-    k3 = STENCIL_K**3
-    counts = {
-        "linear": 0,
-        "bitfit": 0,
-        "adapter": 2 * d * r * nblocks,
-        "lora": 4 * d * r * nblocks,
-        "prompt": 2 * m * d * nblocks,
-        "gem_sa_only": 2 * r * d + k3 * r * r,
-        "gem_ca_only": nblocks * (3 * d * r + 3 * r * r + r * d) + m * r,
-    }
-    counts["gem"] = counts["gem_sa_only"] + counts["gem_ca_only"]
-    return counts[config.method]
+    """Scalars the method adds (head excluded), from its plan."""
+    return sum(math.prod(shape) for _, shape, _ in _plan(config, bconfig))
 
 
 def trainable_param_count(config: PeftConfig, bconfig: BackboneConfig) -> int:
-    """Scalars an optimizer would update: method params plus the head."""
-    count = peft_param_count(config, bconfig) + head_param_count(bconfig)
-    if config.method == "bitfit":
-        count += sum(
-            int(np.prod(shape, dtype=np.int64))
-            for name, shape in expected_layout(bconfig).items()
-            if (name.endswith(".bias") or name.endswith(".shift"))
-            and not name.startswith("head.")
-        )
-    return count
+    """Scalars an optimizer would update: the entries `trains` selects from
+    the backbone layout and the method's plan."""
+    entries = [*expected_layout(bconfig).items(), *((n, s) for n, s, _ in _plan(config, bconfig))]
+    return sum(math.prod(shape) for name, shape in entries if trains(config.method, name))
 
 
 def trainable_fraction(config: PeftConfig, bconfig: BackboneConfig) -> float:
-    total = backbone_param_count(bconfig) + peft_param_count(config, bconfig)
-    return trainable_param_count(config, bconfig) / total
+    total = sum(math.prod(shape) for shape in expected_layout(bconfig).values())
+    return trainable_param_count(config, bconfig) / (total + peft_param_count(config, bconfig))
 
 
 def _tokens_for_rank(rank: int) -> int:
@@ -447,7 +405,7 @@ def budget_fit(method: str, budget: float, bconfig: BackboneConfig) -> PeftConfi
             "(the head is always trainable)"
         )
 
-    if method in ("linear", "bitfit"):
+    if method not in RANK_METHODS and method not in TOKEN_METHODS:  # no knob to size
         config = PeftConfig(method=method)
         frac = trainable_fraction(config, bconfig)
         if frac > budget:
@@ -456,16 +414,17 @@ def budget_fit(method: str, budget: float, bconfig: BackboneConfig) -> PeftConfi
             )
         return config
 
+    knob = "rank" if method in RANK_METHODS else "tokens"
+
     def sized(n: int) -> PeftConfig:
-        if method == "prompt":
-            return PeftConfig(method=method, tokens=n)
-        return PeftConfig(method=method, rank=n, tokens=_tokens_for_rank(n))
+        if knob == "rank":
+            return PeftConfig(method=method, rank=n, tokens=_tokens_for_rank(n))
+        return PeftConfig(method=method, tokens=n)
 
     def fits(n: int) -> bool:
         return trainable_fraction(sized(n), bconfig) <= budget
 
     if not fits(1):
-        knob = "tokens" if method == "prompt" else "rank"
         raise InfeasibleBudgetError(f"{method} with {knob} 1 already exceeds budget {budget}")
     lo, hi = 1, 2  # fits(lo); hi not yet tried
     while fits(hi):
@@ -487,10 +446,11 @@ def save_peft(
     bconfig: BackboneConfig,
     command: str | None = None,
 ) -> None:
-    """Persist only the attachment and head entries plus both config blocks."""
+    """Persist exactly the entries the method trains (`trains`) plus both
+    config blocks."""
     sub = ParamStore()
     for name, t in store.items():
-        if name.startswith("peft.") or name.startswith("head."):
+        if trains(config.method, name):
             sub.add(name, t.data.copy(), frozen=store.frozen(name))
     cfg = dict(config.to_dict())
     cfg["backbone_hash"] = ag.config_hash(bconfig.to_dict())
@@ -503,7 +463,9 @@ def load_peft(
     """Compose a saved attachment with a frozen backbone.
 
     Fails if the attachment was produced against a different backbone config
-    hash, or if the stored entries do not match the method's layout.
+    hash, or if the stored entries are not exactly those the method trains
+    (a BitFit checkpoint written before it held its backbone biases and
+    shifts is one such).
     """
     cfg, sub = ag.load_checkpoint(path)
     want_hash = ag.config_hash(bconfig.to_dict())
@@ -516,10 +478,12 @@ def load_peft(
     config = PeftConfig.from_dict(cfg)
     store = backbone_store.clone()
     attachment = attach(config, store, bconfig)
-    expected = {n for n in store.names() if n.startswith("peft.") or n.startswith("head.")}
-    if set(sub.names()) != expected:
+    expected, got = {n for n in store.names() if trains(config.method, n)}, set(sub.names())
+    if got != expected:
         raise ContractError(
-            f"attachment entries {sorted(set(sub.names()) ^ expected)} do not match the method layout"
+            f"attachment checkpoint does not hold the entries {config.method} trains: "
+            f"missing {sorted(expected - got)}, unexpected {sorted(got - expected)}; "
+            "re-run `pointpeft finetune` to rewrite it"
         )
     for name, t in sub.items():
         if store[name].shape != t.shape:

@@ -705,12 +705,15 @@ def finetune(
 ) -> tuple[ParamStore, pf.PeftAttachment, RunRecord]:
     """Train one attachment on target scenes with the backbone frozen.
 
-    Ends by comparing every backbone parameter byte-for-byte against its
-    pre-training value; any unexpected change is a hard failure.
+    Ends by comparing every parameter the method does not train
+    (`peft.trains`) byte-for-byte against its pre-training value; any change
+    is a hard failure, whatever the freeze flags say.
     """
     store = backbone_store.clone()
     attachment = pf.attach(pconfig, store, bconfig, seed=tconfig.seed)
-    before = store.byte_snapshot("backbone.")
+    before = {
+        name: t.data.tobytes() for name, t in store.items() if not pf.trains(pconfig.method, name)
+    }
 
     subset_seed = None
     if not 0.0 < data_fraction <= 1.0:
@@ -738,20 +741,7 @@ def finetune(
     )
     _run_epochs(store, attachment, prepared, eval_prepared, bconfig, tconfig, record)
 
-    changed = {
-        name for name, blob in before.items() if store[name].data.tobytes() != blob
-    }
-    if pconfig.method == "bitfit":
-        allowed = {
-            name
-            for name in store.names()
-            if name.startswith("backbone.")
-            and (name.endswith(".bias") or name.endswith(".shift"))
-        }
-        if not changed <= allowed:
-            raise FreezeViolation(
-                f"bitfit changed non-bias parameters: {sorted(changed - allowed)}"
-            )
-    elif changed:
-        raise FreezeViolation(f"frozen backbone parameters changed: {sorted(changed)}")
+    changed = sorted(name for name, blob in before.items() if store[name].data.tobytes() != blob)
+    if changed:
+        raise FreezeViolation(f"parameters {pconfig.method} does not train changed: {changed}")
     return store, attachment, record

@@ -10,8 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pointpeft.backbone as bb
 import pointpeft.cli as cli
 import pointpeft.instrumentation as ins
+import pointpeft.peft as pf
 import pointpeft.training as tr
 from pointpeft.errors import DataError, NumericError
 from pointpeft.geometry import scene_spec_text
@@ -82,6 +84,17 @@ class TestUsage:
                          "--data", str(ws["tgt"])])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFlagDefaults:
+    def test_no_optional_flags_give_the_library_defaults(self):
+        parser = cli._build_parser()
+        args = parser.parse_args(["finetune", "--backbone", "b", "--data", "d", "--out", "o", "--method", "gem"])
+        assert cli._tconfig_from_args(args) == tr.TrainConfig()
+        assert cli._pconfig_from_args(args) == pf.PeftConfig(method="gem")
+        args = parser.parse_args(["pretrain", "--data", "d", "--out", "o"])
+        assert cli._bconfig_from_args(args) == bb.BackboneConfig()
+        assert cli._tconfig_from_args(args) == replace(tr.TrainConfig(), epochs=50)
 
 
 class TestGenData:
@@ -255,6 +268,23 @@ class TestEval:
         assert "hash" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("method", pf.METHODS)
+    def test_eval_reproduces_the_final_miou(self, ws, tmp_path, capsys, method):
+        """`eval --peft` on the fine-tune's own data prints the miou its
+        record ends with: the checkpoint holds all that the method trained."""
+        ckpt, record = tmp_path / "m.ckpt", tmp_path / "run.txt"
+        assert cli.main(["finetune", "--backbone", str(ws["bb"]), "--method", method,
+                         "--rank", "2", "--tokens", "2", "--data", str(ws["tgt"]),
+                         "--epochs", "3", "--batch-size", "2", "--lr", "1e-2",
+                         "--out", str(ckpt), "--record", str(record)]) == 0
+        last = record.read_text().splitlines()[-1].split()
+        capsys.readouterr()
+        assert cli.main(["eval", "--backbone", str(ws["bb"]), "--peft", str(ckpt),
+                         "--data", str(ws["tgt"])]) == 0
+        printed = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines() if " = " in ln)
+        assert printed["miou"] == last[last.index("miou") + 1]
+
+
 class TestBudget:
     def test_prints_fit_and_fraction(self, ws, capsys):
         assert cli.main(["budget", "--backbone", str(ws["bb"]), "--method",
@@ -357,8 +387,6 @@ class TestSweepConfig:
             {"methods": ("lora",), "budgets": ("0.05",)}, bconfig
         )
         assert len(cells) == 1
-        import pointpeft.peft as pf
-
         assert pf.trainable_fraction(cells[0], bconfig) <= 0.05
 
 

@@ -183,14 +183,12 @@ class TestPrompt:
 
 class TestBitfit:
     def test_selects_exactly_bias_and_shift(self):
-        bconfig = small_config()
-        store = bb.init_backbone(bconfig, 1)
-        peft.bitfit_select(store)
+        _, store, _, _ = attached_model("bitfit", seed=1)
         trainable = {n for n, _ in store.trainable_items()}
         expect = {
             n for n in store.names() if n.endswith(".bias") or n.endswith(".shift")
         }
-        assert trainable == expect
+        assert trainable - {"head.weight"} == expect
 
     def test_attach_adds_head_weight(self):
         bconfig, store, pconfig, _ = attached_model("bitfit")
@@ -445,6 +443,51 @@ class TestAttach:
         assert attachment.ffn_post(x, 0) is x
 
 
+ACCEPTANCE = bb.BackboneConfig(d=32, blocks=4, heads=4, patch_size=16, num_classes=3)
+
+
+def closed_form(method, bconfig, rank, tokens, nblocks):
+    """(added, trainable, total) scalars of `method` on `bconfig`, by formula."""
+    d, r, m, k = bconfig.d, rank, tokens, bconfig.num_classes
+    h, c, blocks = bconfig.ffn_mult * d, bconfig.in_channels, bconfig.blocks
+    added = {
+        "linear": 0,
+        "bitfit": 0,
+        "adapter": 2 * d * r * nblocks,
+        "lora": 4 * d * r * nblocks,
+        "prompt": 2 * m * d * nblocks,
+        "gem_sa_only": 2 * r * d + 27 * r * r,
+        "gem_ca_only": nblocks * (3 * d * r + 3 * r * r + r * d) + m * r,
+    }
+    added["gem"] = added["gem_sa_only"] + added["gem_ca_only"]
+    head = d * k + k
+    # embedding, positional MLP, blocks (norms, four projections, FFN), output norm
+    stem = c * d + d + 3 * d + d + d * d + d
+    block = 2 * d + 4 * (d * d + d) + 2 * d + d * h + h + h * d + d
+    backbone = stem + blocks * block + 2 * d
+    # every backbone .bias and .shift: the positional MLP's b1 and b2 are neither
+    biases = d + blocks * (7 * d + h) + d
+    trainable = added[method] + head + (biases if method == "bitfit" else 0)
+    return added[method], trainable, backbone + head + added[method]
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("method", peft.METHODS)
+    @pytest.mark.parametrize(
+        "bconfig", [small_config(), ACCEPTANCE, bb.BackboneConfig()],
+        ids=["small", "acceptance", "cli-default"],
+    )
+    def test_counts_and_fraction_match_the_closed_forms(self, method, bconfig):
+        for rank, tokens, blocks in ((8, 4, ()), (1, 1, ()), (3, 5, ()), (16, 2, ()), (4, 2, (1, 3))):
+            pconfig = peft.PeftConfig(method=method, rank=rank, tokens=tokens, blocks=blocks)
+            added, trainable, total = closed_form(
+                method, bconfig, rank, tokens, len(blocks) or bconfig.blocks
+            )
+            assert peft.peft_param_count(pconfig, bconfig) == added
+            assert peft.trainable_param_count(pconfig, bconfig) == trainable
+            assert peft.trainable_fraction(pconfig, bconfig) == trainable / total
+
+
 class TestBudgetFit:
     def test_fraction_boundary_for_rank_methods(self):
         bconfig = bb.BackboneConfig()
@@ -510,12 +553,14 @@ class TestBudgetFit:
 
 
 class TestPeftCheckpoint:
-    def test_round_trip_preserves_logits(self, tmp_path):
-        bconfig, store, pconfig, attachment = attached_model("gem", seed=20, rank=4, tokens=2)
+    @pytest.mark.parametrize("method", peft.METHODS)
+    def test_round_trip_preserves_logits(self, method, tmp_path):
+        """Every entry the method trains, perturbed, comes back bitwise:
+        BitFit's backbone biases and shifts as much as the adapters."""
+        bconfig, store, pconfig, attachment = attached_model(method, seed=20, rank=4, tokens=2)
         rng = np.random.default_rng(20)
-        for name in store.names():
-            if name.startswith("peft.") and name.endswith(".up"):
-                store[name].data[:] = rng.normal(size=store[name].shape) * 0.1
+        for _, t in store.trainable_items():
+            t.data[...] += rng.normal(size=t.shape) * 0.1
         cloud = rand_cloud(rng, 16)
         want = run(cloud, bconfig, store, attachment).logits.data
         path = tmp_path / "peft.ckpt"
@@ -523,8 +568,27 @@ class TestPeftCheckpoint:
         backbone_only = bb.init_backbone(bconfig, 20)
         loaded_config, composed, loaded_attachment = peft.load_peft(path, backbone_only, bconfig)
         assert loaded_config == pconfig
+        assert composed.byte_snapshot() == store.byte_snapshot()
         got = run(cloud, bconfig, composed, loaded_attachment).logits.data
-        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_head_only_bitfit_checkpoint_refused(self, tmp_path):
+        """A BitFit checkpoint holding only the head, as `save_peft` wrote
+        them before it kept the tuned biases and shifts, is refused with the
+        entries it lacks."""
+        bconfig, store, pconfig, _ = attached_model("bitfit", seed=22)
+        head_only = ag.ParamStore()
+        for name in ("head.weight", "head.bias"):
+            head_only.add(name, store[name].data.copy())
+        path = tmp_path / "old.ckpt"
+        ag.save_checkpoint(
+            path, head_only, {**pconfig.to_dict(), "backbone_hash": ag.config_hash(bconfig.to_dict())}
+        )
+        with pytest.raises(ContractError) as err:
+            peft.load_peft(path, bb.init_backbone(bconfig, 22), bconfig)
+        message = str(err.value)
+        assert "'backbone.embed.bias'" in message and "'backbone.block3.ln2.shift'" in message
+        assert "re-run `pointpeft finetune`" in message
 
     def test_stencil_size_other_than_three_rejected(self):
         cfg = peft.PeftConfig(method="gem").to_dict()

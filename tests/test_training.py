@@ -484,6 +484,39 @@ class TestFinetune:
         }
         assert changed == expect
 
+    @staticmethod
+    def nudge_in_step(monkeypatch, name):
+        """Make every optimizer step also move `name` behind the freeze flags."""
+        step = tr.step
+
+        def nudged(store, state, lr=None):
+            step(store, state, lr)
+            store[name].data[...] += 1e-3
+
+        monkeypatch.setattr(tr, "step", nudged)
+
+    @pytest.mark.parametrize("method", ["lora", "bitfit"])
+    def test_freeze_check_names_a_moved_frozen_weight(self, method, monkeypatch):
+        """The closing comparison reads bytes, not flags: a frozen weight
+        that moved fails the fine-tune, named."""
+        self.nudge_in_step(monkeypatch, "backbone.block1.ffn.fc2.weight")
+        bconfig, store = self.make_pretrained()
+        with pytest.raises(FreezeViolation, match=r"\['backbone\.block1\.ffn\.fc2\.weight'\]"):
+            tr.finetune(
+                store, bconfig, peft.PeftConfig(method=method, rank=2),
+                tiny_dataset(2, seed=18), tr.TrainConfig(epochs=1, seed=5),
+            )
+
+    def test_freeze_check_lets_bitfit_move_a_backbone_bias(self, monkeypatch):
+        name = "backbone.block1.ffn.fc2.bias"
+        self.nudge_in_step(monkeypatch, name)
+        bconfig, store = self.make_pretrained()
+        tuned, _, _ = tr.finetune(
+            store, bconfig, peft.PeftConfig(method="bitfit"),
+            tiny_dataset(2, seed=18), tr.TrainConfig(epochs=1, seed=5),
+        )
+        assert tuned[name].data.tobytes() != store[name].data.tobytes()
+
     def test_limited_data_marks_subset_seed(self):
         bconfig, store = self.make_pretrained()
         _, _, record = tr.finetune(

@@ -9,8 +9,10 @@ once after `save_checkpoint` and `load_checkpoint` (`loaded`):
 - `gem-small`: the backbone perfbench's gem-small pretrains at seed 1;
 - `cli-default`: a backbone of `BackboneConfig()` (d=64, 8 blocks), the
   CLI's default, pretrained for one epoch;
-- `peft`: a gem attachment fine-tuned on the gem-small backbone, saved with
-  `save_peft` and composed again with `load_peft`;
+- `peft`: one attachment per method, fine-tuned on the gem-small backbone,
+  saved with `save_peft` and composed again with `load_peft`; the digests
+  cover every entry of the composed store, so an entry the checkpoint
+  dropped shows as `saved` != `loaded`;
 - `edges`: ±0.0, ±5e-324, ±inf, values near 1e±300 and an empty record.
 
 `saved` equals `loaded` when the round trip is bitwise. Training does not
@@ -44,9 +46,9 @@ DEFAULT = bb.BackboneConfig()
 CALLS = 7
 
 
-def digest(store: ag.ParamStore, names=None) -> str:
+def digest(store: ag.ParamStore) -> str:
     h = hashlib.sha256()
-    for name in names if names is not None else store.names():
+    for name in store.names():
         t = store[name]
         h.update(f"{name}\t{t.shape}\t{int(store.frozen(name))}\n".encode("utf-8"))
         h.update(t.data.tobytes())
@@ -92,12 +94,13 @@ def main() -> None:
         out["digests"]["cli-default"] = round_trip(path, default)
 
         target = tr.generate_dataset(tr.target_spec(36), 8, 1002)
-        gem = pf.PeftConfig(method="gem", rank=8, tokens=4, sharing="global")
-        tuned, _, _ = tr.finetune(small, SMALL, gem, target, tr.TrainConfig(epochs=2, learning_rate=3e-3, seed=1))
-        pf.save_peft(path, tuned, gem, SMALL)
-        _, composed, _ = pf.load_peft(path, small, SMALL)
-        names = [n for n in tuned.names() if n.startswith(("peft.", "head."))]
-        out["digests"]["peft"] = {"saved": digest(tuned, names), "loaded": digest(composed, names)}
+        out["digests"]["peft"] = {}
+        for method in pf.METHODS:
+            config = pf.PeftConfig(method=method, rank=8, tokens=4, sharing="global")
+            tuned, _, _ = tr.finetune(small, SMALL, config, target, tr.TrainConfig(epochs=2, learning_rate=3e-3, seed=1))
+            pf.save_peft(path, tuned, config, SMALL)
+            _, composed, _ = pf.load_peft(path, small, SMALL)
+            out["digests"]["peft"][method] = {"saved": digest(tuned), "loaded": digest(composed)}
 
         out["digests"]["edges"] = round_trip(path, edge_store())
 

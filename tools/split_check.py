@@ -15,7 +15,8 @@ eval split. Each run's digest covers
 - the metrics of a standalone `evaluate` on a held-out split.
 
 Prints one JSON object: `runs` maps each run to its `serial` and `split`
-digests, `serial` and `split` digest those in run order, and
+digests and to `parts`, the serial run's digest of each item above on its
+own; `serial` and `split` digest the run digests in run order, and
 `serial_equals_split` compares the two. Running the script on two commits
 and comparing `serial` shows whether they train to the same bytes. The
 script sets one BLAS thread before numpy loads, as perfbench does.
@@ -48,32 +49,38 @@ def clouds(count: int, seed: int):
     return tr.generate_dataset(tr.target_spec(points_per_class=12), count, seed)
 
 
-def run_digest(path, store, attachment, record, need_neighbors: bool) -> str:
-    h = hashlib.sha256()
-    for name in store.names():
-        t = store[name]
-        h.update(f"{name}\t{t.shape}\t{int(store.frozen(name))}\n".encode("utf-8"))
-        h.update(t.data.tobytes())
+def run_digests(path, store, attachment, record, need_neighbors: bool) -> dict[str, str]:
+    """SHA-256 of each part a run produces, and `run` over all of them."""
+    store_bytes = b"".join(
+        f"{name}\t{store[name].shape}\t{int(store.frozen(name))}\n".encode("utf-8") + store[name].data.tobytes()
+        for name in store.names()
+    )
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        checkpoint = fh.read()
     text = record.to_text().splitlines(True)
-    h.update("".join(ln for ln in text if not ln.startswith("wall_time_s")).encode("utf-8"))
-    h.update(record.metrics_csv().encode("utf-8"))
     held_out = tr.prepare(clouds(3, seed=13), BCONFIG, need_neighbors=need_neighbors)
     metrics = tr.evaluate(store, attachment, held_out, BCONFIG)
-    h.update(json.dumps(metrics, sort_keys=True).encode("utf-8"))
-    return h.hexdigest()
+    parts = {
+        "store": store_bytes,
+        "checkpoint": checkpoint,
+        "record": "".join(ln for ln in text if not ln.startswith("wall_time_s")).encode("utf-8"),
+        "metrics_csv": record.metrics_csv().encode("utf-8"),
+        "evaluate": json.dumps(metrics, sort_keys=True).encode("utf-8"),
+    }
+    out = {part: hashlib.sha256(blob).hexdigest() for part, blob in parts.items()}
+    out["run"] = hashlib.sha256(b"".join(parts.values())).hexdigest()
+    return out
 
 
 def runs(path):
-    """(name, digest) for every run, in a fixed order."""
+    """(name, digests) for every run, in a fixed order."""
     data = clouds(6, seed=3)
     for optimizer in ("adamw", "sgd_momentum"):
         for eval_clouds in (None, clouds(3, seed=4)):
             store, record = tr.pretrain(data, BCONFIG, tconfig(optimizer), eval_clouds=eval_clouds)
             bb.save_backbone(path, store, BCONFIG)
             name = f"pretrain-{optimizer}-{'eval' if eval_clouds else 'running'}"
-            yield name, run_digest(path, store, None, record, False)
+            yield name, run_digests(path, store, None, record, False)
     backbone = bb.init_backbone(BCONFIG, 3)
     for method in pf.METHODS:
         config = pf.PeftConfig(method=method, rank=2, tokens=2)
@@ -83,7 +90,7 @@ def runs(path):
             )
             pf.save_peft(path, store, config, BCONFIG)
             name = f"finetune-{method}-{'eval' if eval_clouds else 'running'}"
-            yield name, run_digest(path, store, attachment, record, config.has_spatial)
+            yield name, run_digests(path, store, attachment, record, config.has_spatial)
 
 
 def main() -> None:
@@ -93,9 +100,10 @@ def main() -> None:
         for mode in ("serial", "split"):
             tr._split_allowed = lambda attachment, bconfig, on=(mode == "split"): on
             total = hashlib.sha256()
-            for name, digest in runs(path):
-                out["runs"].setdefault(name, {})[mode] = digest
-                total.update(digest.encode("utf-8"))
+            for name, digests in runs(path):
+                out["runs"].setdefault(name, {})[mode] = digests.pop("run")
+                out["runs"][name].setdefault("parts", digests)
+                total.update(out["runs"][name][mode].encode("utf-8"))
             out[mode] = total.hexdigest()
     out["serial_equals_split"] = out["serial"] == out["split"]
     print(json.dumps(out, indent=2))
