@@ -427,18 +427,21 @@ def evaluate(
     forked helper, whose `confusion` work counts the second half of this
     split; `last` marks the helper's last request, after which it exits.
     Called on its own (no `resume`, no `helper`) with two clouds or more,
-    `evaluate` forks a helper for the call where `_split_allowed` holds,
-    and its one request is the helper's last."""
-    own = (
+    where `_split_allowed` holds, `evaluate` ships the second half of the
+    split to this process's standing helper (`_standing_helper`), which
+    outlives the call and serves every later one."""
+    count = len(prepared)
+    if (
         resume is None
         and helper is None
-        and len(prepared) >= 2
+        and count >= 2
         # with no resume point a pass runs every block, as the plain backbone's does
         and _split_allowed(None, bconfig)
-    )
-    confusion = _confusion_work(store, attachment, prepared, bconfig, resume or [None] * len(prepared))
-    with _Helper(confusion) if own else nullcontext(helper) as helper:
-        cm, *rest = _halves(helper, confusion, len(prepared), last=last or own)
+    ):
+        cm, *rest = _shipped_halves(store, attachment, prepared, bconfig)
+    else:
+        confusion = _confusion_work(store, attachment, prepared, bconfig, resume or [None] * count)
+        cm, *rest = _halves(helper, confusion, count, last=last)
     for other in rest:
         cm.merge(other)
     return cm.metrics()
@@ -481,14 +484,15 @@ def _cloud_grads(
 def _split_allowed(attachment, bconfig: bb.BackboneConfig) -> bool:
     """Whether a pass may fork a helper: two usable CPUs, the `fork` start
     method, no other Python thread (a fork copies locks other threads may
-    hold), one BLAS thread per process (`pointpeft/__init__.py`) and a pass
-    that runs at least one block (`attachment` None stands for a pass that
-    runs them all)."""
+    hold), one BLAS thread per process (`pointpeft/__init__.py`), a process
+    that is not itself a helper, and a pass that runs at least one block
+    (`attachment` None stands for a pass that runs them all)."""
     from . import _one_blas_thread
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (
         _one_blas_thread
+        and not multiprocessing.current_process().daemon  # a helper may not fork
         and (cpus or 1) >= 2
         and "fork" in multiprocessing.get_all_start_methods()
         and threading.active_count() == 1
@@ -511,18 +515,21 @@ def _halves(helper: _Helper | None, work, count: int, *args, last: bool = False)
 
 class _Helper:
     """A forked copy of the process that runs the work functions it was
-    forked with, for one `_run_epochs` or `evaluate` call.
+    forked with: for one `_run_epochs` call, or standing, for every
+    standalone `evaluate` of the process (`_standing_helper`).
 
-    Each work is a closure over the call's store, attachment, clouds and
-    resume points, which the child inherits.  Arrays travel through memory
-    both processes map: the parameters in `OptState.w`, bound before the
-    fork, and the flat gradient of each cloud of the helper's share in its
-    own row (`_run_epochs`); the parent steps only after a `reply`, while
-    the helper waits for its next request.  The pipe carries only the
-    requests and the small rest of each answer (losses, a confusion matrix)
-    or the exception the work raised, which `reply` raises here.  The
-    helper exits after answering a request marked `last`, or when the
-    parent closes its end or dies.
+    A training helper's works are closures over the call's store,
+    attachment, clouds and resume points, which the child inherits.  Arrays
+    travel through memory both processes map: the parameters in
+    `OptState.w`, bound before the fork, and the flat gradient of each
+    cloud of the helper's share in its own row (`_run_epochs`); the parent
+    steps only after a `reply`, while the helper waits for its next
+    request.  The pipe carries only the requests and the small rest of each
+    answer (losses, a confusion matrix) or the exception the work raised,
+    which `reply` raises here.  The standing helper's one work,
+    `_shipped_confusion`, takes its store, attachment and clouds with each
+    request instead.  A helper exits after answering a request marked
+    `last`, or when the parent closes its end or dies.
     """
 
     def __init__(self, *works):
@@ -537,10 +544,13 @@ class _Helper:
         return self
 
     def __exit__(self, exc_type, *_) -> None:
-        """Closing the pipe ends a helper still waiting for requests; after
-        an exception it is killed instead, since it may be blocked writing
-        an answer nobody reads."""
-        if exc_type is not None:
+        self.close(kill=exc_type is not None)
+
+    def close(self, kill: bool = False) -> None:
+        """Closing the pipe ends a helper waiting for requests; after an
+        exception it is killed instead (`kill`), since it may be blocked
+        writing an answer nobody reads."""
+        if kill:
             self.proc.kill()
         self.conn.close()
         self.proc.join()
@@ -548,11 +558,15 @@ class _Helper:
     def request(self, name: str, slots: range, args: tuple, last: bool) -> None:
         self.conn.send((name, slots, args, last))
 
-    def reply(self):
+    def answer(self):
+        """The next answer: the work's result, or the exception it raised."""
         try:
-            answer = self.conn.recv()
+            return self.conn.recv()
         except EOFError:
-            raise ContractError("the training helper process ended without replying") from None
+            raise ContractError("the helper process ended without replying") from None
+
+    def reply(self):
+        answer = self.answer()
         if isinstance(answer, BaseException):
             raise answer
         return answer
@@ -573,6 +587,72 @@ class _Helper:
             except Exception as exc:
                 answer = exc
             conn.send(answer)
+
+
+def _shipped_confusion(slots: range, store, attachment, prepared, bconfig) -> ConfusionMatrix:
+    """The standing helper's work: count the predictions of `prepared`,
+    which arrives with the request, as the store and attachment do; `slots`
+    numbers those clouds in the caller's split."""
+    return _confusion(store, attachment, prepared, bconfig, [None] * len(prepared))
+
+
+# This process's standing evaluation helper, or None.  A forked child starts
+# with none (`_forget_standing`).  At exit `multiprocessing` terminates and
+# reaps it, as it does every daemonic child.
+_standing: _Helper | None = None
+
+
+def _standing_helper() -> _Helper:
+    """The standing helper, forked at first use and again if it has died."""
+    global _standing
+    if _standing is not None and not _standing.proc.is_alive():
+        _close_standing()
+    if _standing is None:
+        _standing = _Helper(_shipped_confusion)
+    return _standing
+
+
+def _close_standing(kill: bool = False) -> None:
+    """End the standing helper, if any, and empty the slot."""
+    global _standing
+    helper, _standing = _standing, None
+    if helper is not None:
+        helper.close(kill)
+
+
+def _forget_standing() -> None:
+    """In a forked child: drop the parent's standing helper, closing the
+    child's copy of its pipe, so that only the parent holds that end."""
+    global _standing
+    if _standing is not None:
+        _standing.conn.close()
+    _standing = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_standing)
+
+
+def _shipped_halves(store, attachment, prepared, bconfig) -> list[ConfusionMatrix]:
+    """`_halves` for a standalone `evaluate`: the standing helper counts the
+    second half of `prepared`, pickled to it with the store and attachment,
+    while the parent counts the first.  An exception on the parent's side,
+    the helper's death included, kills the helper and empties the slot; an
+    exception the work raised in the helper leaves it serving."""
+    count = len(prepared)
+    mine = count // 2
+    helper = _standing_helper()
+    try:
+        shipped = (store, attachment, prepared[mine:], bconfig)
+        helper.request(_shipped_confusion.__name__, range(mine, count), shipped, last=False)
+        cm = _confusion(store, attachment, prepared[:mine], bconfig, [None] * mine)
+        answer = helper.answer()
+    except BaseException:
+        _close_standing(kill=True)
+        raise
+    if isinstance(answer, BaseException):
+        raise answer
+    return [cm, answer]
 
 
 def _run_epochs(

@@ -1,6 +1,8 @@
 import os
 import sys
 
+import pytest
+
 # One BLAS thread, set before anything imports numpy, as perfbench/run.py
 # does: the training loop splits work between two processes only under this
 # setting, and OpenBLAS's own threads slow the suite's small matmuls down.
@@ -19,3 +21,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"[criterion {num:2d}] {name}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)"
         )
+
+
+@pytest.fixture(autouse=True)
+def close_standing_helper():
+    """A standing evaluation helper carries the monkeypatches in force at its
+    fork; closing it after each test keeps them out of the next test."""
+    yield
+    training = sys.modules.get("pointpeft.training")
+    if training is not None:
+        training._close_standing()

@@ -1,16 +1,24 @@
 """Splitting each batch and evaluation with a forked helper changes no result.
 
-`training._run_epochs`, and `training.evaluate` called on its own, fork one
-helper per call where `_split_allowed` says so.  These tests force the split
-on or off through that seam and compare the bytes of both runs, then check
-that no helper outlives a `pretrain`, `finetune` or `evaluate` call, whether
-it returns or raises.
+`training._run_epochs` forks one helper per `pretrain` or `finetune` call
+where `_split_allowed` says so; `training.evaluate` called on its own ships
+its second half to one standing helper per process, forked at the first
+such call.  These tests force the split on or off through that seam and
+compare the bytes of both runs, then check that no training helper
+outlives its call, whether it returns or raises, that the standing helper
+serves call after call until an error on the parent's side or the process's
+exit ends it, and that a helper's own process never uses it.
 """
 
+import ast
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import pointpeft
@@ -38,7 +46,12 @@ def split(monkeypatch, on: bool):
 
 @pytest.fixture(autouse=True)
 def no_helper_left():
+    """After each test only the standing helper may run, and closing it
+    leaves no child (`conftest.py` closes it again, for every module)."""
     yield
+    standing = [tr._standing.proc] if tr._standing is not None else []
+    assert multiprocessing.active_children() == standing
+    tr._close_standing()
     assert multiprocessing.active_children() == []
 
 
@@ -126,9 +139,11 @@ def test_split_gives_the_parent_half(monkeypatch):
 
 class SpyHelper(tr._Helper):
     made = 0
+    last = None
 
     def __init__(self, *args):
         SpyHelper.made += 1
+        SpyHelper.last = self
         super().__init__(*args)
 
 
@@ -230,9 +245,12 @@ def test_parent_error_in_standalone_evaluate_kills_the_helper(monkeypatch):
         return confusion(*args)
 
     monkeypatch.setattr(tr, "_confusion", interrupted)
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
     store, _, _, bconfig = tuned(None)
     with pytest.raises(KeyboardInterrupt):
         tr.evaluate(store, None, held_out(4, None, bconfig), bconfig)
+    assert tr._standing is None
+    assert SpyHelper.last.proc.exitcode == -signal.SIGKILL
 
 
 class ExitCheckingHelper(tr._Helper):
@@ -248,15 +266,20 @@ class ExitCheckingHelper(tr._Helper):
 
 @pytest.mark.parametrize("caller", ["evaluate", "finetune", "pretrain"])
 def test_helper_exits_after_its_last_request(caller, monkeypatch):
-    """The standalone evaluation's request and the last epoch's evaluation
-    are marked last: the helper exits after answering, before the parent
-    closes the pipe."""
+    """The last epoch's evaluation is marked last: a training helper exits
+    after answering, before the parent closes the pipe.  The standing
+    helper's requests are never last: it waits for the next call and exits
+    when the pipe closes."""
     split(monkeypatch, True)
     monkeypatch.setattr(tr, "_Helper", ExitCheckingHelper)
     ExitCheckingHelper.exit_codes = []
     if caller == "evaluate":
         store, _, _, bconfig = tuned(None)
         tr.evaluate(store, None, held_out(2, None, bconfig), bconfig)
+        helper = tr._standing
+        assert helper.proc.is_alive()
+        tr._close_standing()
+        ExitCheckingHelper.exit_codes.append(helper.proc.exitcode)
     elif caller == "finetune":
         run_finetune(pf.PeftConfig(method="gem", rank=2, tokens=2))
     else:
@@ -330,3 +353,148 @@ def test_out_of_range_labels_in_the_helpers_half_raise(monkeypatch):
     tr.evaluate(store, None, prepared[:2], bconfig)  # the parent's half alone is fine
     with pytest.raises(DataError, match=r"label out of range \[0, 3\): saw 0\.\.5"):
         tr.evaluate(store, None, prepared, bconfig)
+
+
+# ---------------------------------------------------------------------------
+# the standing helper
+
+
+def varied(method, seed):
+    """A store and attachment (None for the plain backbone) whose every
+    trainable entry holds random values, so the attachment acts on each pass."""
+    bconfig = four_blocks()
+    store = bb.init_backbone(bconfig, seed)
+    if method is None:
+        return store, None
+    config = pf.PeftConfig(method=method, rank=2, tokens=2)
+    attachment = pf.attach(config, store, bconfig, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, t in store.trainable_items():
+        t.data[...] = rng.normal(0.0, 0.1, t.shape)
+    return store, attachment
+
+
+def serial_metrics(store, attachment, prepared, bconfig):
+    return tr._confusion(store, attachment, prepared, bconfig, [None] * len(prepared)).metrics()
+
+
+@pytest.mark.parametrize("method", [None, *pf.METHODS])
+def test_standing_helper_serves_back_to_back_evaluates(method, monkeypatch):
+    """Three evaluates, each with its own store, attachment and clouds, then
+    the first store again after an in-place edit of one of its entries: the
+    split answers equal the serial ones, from one fork."""
+    bconfig = four_blocks()
+    config = None if method is None else pf.PeftConfig(method=method, rank=2, tokens=2)
+    cases = [(*varied(method, seed), held_out(3, config, bconfig, seed=13 + seed)) for seed in range(3)]
+
+    def run():
+        answers = []
+        for store, attachment, prepared in cases:
+            answers.append(tr.evaluate(store, attachment, prepared, bconfig))
+        store, attachment, prepared = cases[0]
+        head = store["head.bias"].data
+        kept = head.copy()
+        head[0] += 100.0  # every point now predicts class 0
+        answers.append(tr.evaluate(store, attachment, prepared, bconfig))
+        head[...] = kept
+        return answers
+
+    split(monkeypatch, False)
+    serial = run()
+    assert serial[3] != serial[0]  # the edit reached the predictions
+    split(monkeypatch, True)
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
+    SpyHelper.made = 0
+    assert run() == serial
+    assert SpyHelper.made == 1
+
+
+def test_killed_standing_helper_is_replaced(monkeypatch):
+    split(monkeypatch, True)
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
+    SpyHelper.made = 0
+    bconfig = four_blocks()
+    store, _ = varied(None, 1)
+    prepared = held_out(4, None, bconfig)
+    serial = serial_metrics(store, None, prepared, bconfig)
+    assert tr.evaluate(store, None, prepared, bconfig) == serial
+    first = tr._standing.proc.pid
+    os.kill(first, signal.SIGKILL)
+    os.waitid(os.P_PID, first, os.WEXITED | os.WNOWAIT)  # dead, left for the library to reap
+    assert tr.evaluate(store, None, prepared, bconfig) == serial
+    assert SpyHelper.made == 2 and tr._standing.proc.pid != first
+
+
+def test_error_in_the_helpers_half_leaves_it_serving(monkeypatch):
+    """An unannotated cloud in the shipped half raises in the parent; the
+    helper answered with the error, so it serves the next call."""
+    split(monkeypatch, True)
+    monkeypatch.setattr(tr, "_Helper", SpyHelper)
+    SpyHelper.made = 0
+    bconfig = four_blocks()
+    store, _ = varied(None, 1)
+    prepared = held_out(4, None, bconfig)
+    bad = list(prepared)
+    bad[3] = replace(bad[3], cloud=replace(bad[3].cloud, labels=None))
+    with pytest.raises(DataError, match="evaluation requires annotated clouds"):
+        tr.evaluate(store, None, bad, bconfig)
+    helper = tr._standing
+    assert tr.evaluate(store, None, prepared, bconfig) == serial_metrics(store, None, prepared, bconfig)
+    assert tr._standing is helper and SpyHelper.made == 1
+
+
+def test_training_helper_never_uses_the_standing_helper(monkeypatch):
+    """A training helper forked while the standing helper runs starts with
+    an empty slot, and may not fork one of its own (it is daemonic)."""
+    bconfig = four_blocks()
+    if not tr._split_allowed(None, bconfig):
+        pytest.skip("this host allows no split (one CPU or no fork)")
+    store, _ = varied(None, 1)
+    prepared = held_out(2, None, bconfig)
+    tr.evaluate(store, None, prepared, bconfig)
+    standing, parent, cloud_grads = tr._standing, os.getpid(), tr._cloud_grads
+
+    def probe(*args):
+        if os.getpid() != parent:  # the training helper reports through its error
+            seen = (os.getpid(), tr._standing is None, tr._split_allowed(None, bconfig))
+            raise DataError(repr(seen))
+        return cloud_grads(*args)
+
+    monkeypatch.setattr(tr, "_cloud_grads", probe)
+    with pytest.raises(DataError) as info:
+        tr.pretrain(clouds(4, seed=3), bconfig, tr.TrainConfig(epochs=1, batch_size=4))
+    pid, empty, allowed = ast.literal_eval(str(info.value))
+    assert pid not in (parent, standing.proc.pid)
+    assert empty and not allowed
+    assert tr._standing is standing
+    assert tr.evaluate(store, None, prepared, bconfig) == serial_metrics(store, None, prepared, bconfig)
+
+
+EXIT = """
+from pointpeft import backbone as bb
+from pointpeft import training as tr
+
+tr._split_allowed = lambda attachment, bconfig: True
+bconfig = bb.BackboneConfig(
+    d=16, blocks=4, patch_size=8, heads=2, ffn_mult=2, num_classes=3,
+    in_channels=6, voxel_size=0.5, stages=((0, 2), (2, 4)),
+)
+store = bb.init_backbone(bconfig, 0)
+prepared = tr.prepare(tr.generate_dataset(tr.target_spec(points_per_class=12), 3, 13), bconfig)
+for _ in range(2):
+    tr.evaluate(store, None, prepared, bconfig)
+print(tr._standing.proc.pid)
+"""
+
+
+def test_process_exit_ends_the_standing_helper():
+    """A process that evaluated exits on its own, and its helper is gone:
+    reaped, not left running or as a zombie."""
+    src = os.path.dirname(os.path.dirname(pointpeft.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", EXIT], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    pid = int(out.stdout.split()[-1])
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)

@@ -14,12 +14,19 @@ eval split. Each run's digest covers
 - `RunRecord.metrics_csv()`;
 - the metrics of a standalone `evaluate` on a held-out split.
 
+A further run, `standing`, fine-tunes `gem` and `lora` and then evaluates
+the two tuned stores back to back on one held-out split; split, both
+evaluates go through one standing helper.
+
 Prints one JSON object: `runs` maps each run to its `serial` and `split`
 digests and to `parts`, the serial run's digest of each item above on its
-own; `serial` and `split` digest the run digests in run order, and
-`serial_equals_split` compares the two. Running the script on two commits
-and comparing `serial` shows whether they train to the same bytes. The
-script sets one BLAS thread before numpy loads, as perfbench does.
+own; `serial` and `split` digest the run digests in run order.
+`standing` holds that run's `serial` and `split` digests and
+`one_helper`, whether one helper served both split evaluates.
+`serial_equals_split` holds when both pairs of digests are equal. Running
+the script on two commits and comparing `serial` shows whether they train
+to the same bytes. The script sets one BLAS thread before numpy loads, as
+perfbench does.
 """
 
 import os
@@ -93,8 +100,25 @@ def runs(path):
             yield name, run_digests(path, store, attachment, record, config.has_spatial)
 
 
+def standing() -> tuple[str, set]:
+    """The digest of two tuned stores' metrics, evaluated back to back, and
+    the standing helpers (their pids) that served the two evaluates."""
+    backbone = bb.init_backbone(BCONFIG, 3)
+    tuned = []
+    for method in ("gem", "lora"):
+        config = pf.PeftConfig(method=method, rank=2, tokens=2)
+        store, attachment, _ = tr.finetune(backbone, BCONFIG, config, clouds(6, seed=7), tconfig())
+        tuned.append((store, attachment))
+    held_out = tr.prepare(clouds(3, seed=13), BCONFIG, need_neighbors=True)
+    metrics, helpers = [], set()
+    for store, attachment in tuned:
+        metrics.append(tr.evaluate(store, attachment, held_out, BCONFIG))
+        helpers.add(tr._standing and tr._standing.proc.pid)
+    return hashlib.sha256(json.dumps(metrics, sort_keys=True).encode("utf-8")).hexdigest(), helpers
+
+
 def main() -> None:
-    out = {"runs": {}}
+    out = {"runs": {}, "standing": {}}
     with tempfile.TemporaryDirectory(prefix="split_check_") as work:
         path = os.path.join(work, "m.ckpt")
         for mode in ("serial", "split"):
@@ -105,7 +129,12 @@ def main() -> None:
                 out["runs"][name].setdefault("parts", digests)
                 total.update(out["runs"][name][mode].encode("utf-8"))
             out[mode] = total.hexdigest()
-    out["serial_equals_split"] = out["serial"] == out["split"]
+            out["standing"][mode], helpers = standing()
+            if mode == "split":
+                out["standing"]["one_helper"] = len(helpers) == 1 and None not in helpers
+    out["serial_equals_split"] = (
+        out["serial"] == out["split"] and out["standing"]["serial"] == out["standing"]["split"]
+    )
     print(json.dumps(out, indent=2))
 
 
