@@ -755,13 +755,35 @@ def named_rng(seed: int, *names: str) -> np.random.Generator:
 # checkpoint container
 
 # One record per parameter: `name<TAB>shape(csv)<TAB>frozen(0|1)` followed by
-# one line holding the hex of the values' bytes: 16 lowercase hex digits per
-# value, IEEE-754 binary64, little-endian, no separators (empty for an empty
-# record). Hex is exact and needs no decimal conversion, which took most of
-# a backbone's load and save time. A key=value config block sits at the top
-# and is hashed for provenance.
+# one line holding `encode_hex` of its values (empty for an empty record). A
+# key=value config block sits at the top and is hashed for provenance.
 
 HEX_DIGITS_PER_VALUE = 16
+
+
+def encode_hex(values: Array) -> str:
+    """The hex of `values`' bytes in C order: 16 lowercase hex digits per
+    value, IEEE-754 binary64, little-endian, no separators.
+
+    Hex is exact and needs no decimal conversion, which took most of the
+    time to load or save a checkpoint or a cloud. Checkpoint value lines and
+    cloud point rows both hold it.
+    """
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+def decode_hex(text: str, count: int) -> Array | None:
+    """The `count` doubles `encode_hex` wrote as `text`, or None if `text`
+    holds anything else; the array views a writable buffer."""
+    if len(text) != HEX_DIGITS_PER_VALUE * count:
+        return None
+    try:
+        raw = bytearray.fromhex(text)
+    except ValueError:  # a digit that is not hex
+        return None
+    if len(raw) * 2 != len(text):  # fromhex skips ASCII whitespace
+        return None
+    return np.frombuffer(raw, "<f8")
 
 
 def canonical_config_text(config: dict) -> str:
@@ -779,8 +801,8 @@ def cmd_comment(command: str) -> str:
 
 
 def save_checkpoint(path, store: ParamStore, config: dict | None = None, command: str | None = None) -> None:
-    """Write `store` and `config` as text, each record's values as the hex of
-    their little-endian binary64 bytes; names and entries the format cannot
+    """Write `store` and `config` as text, each record's values as
+    `encode_hex` writes them; names and entries the format cannot
     hold (a line break, a tab in a name, `=` in a key, a leading `#`) raise
     ContractError."""
     cfg = {str(k): str(v) for k, v in (config or {}).items()}
@@ -801,7 +823,7 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None, command
     for name, t in store.items():
         shape_csv = ",".join(str(s) for s in t.shape)
         lines.append(f"{name}\t{shape_csv}\t{int(store.frozen(name))}")
-        lines.append(t.data.astype("<f8").tobytes().hex())
+        lines.append(encode_hex(t.data))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -810,8 +832,8 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
     """Read a `save_checkpoint` file; malformed content raises DataError.
 
     A record's value line must hold exactly 16 hex digits per value (either
-    letter case) and nothing else; `bytearray.fromhex` decodes it, and the
-    arrays are views of those writable buffers. A decimal value line, the
+    letter case) and nothing else; `decode_hex` decodes it, and the arrays
+    are views of those writable buffers. A decimal value line, the
     encoding before hex, is refused with a DataError like any other line.
     """
     try:
@@ -847,7 +869,7 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
             if any(s < 0 for s in shape):
                 raise DataError(f"{path}: negative shape {shape_csv} for {name}")
             count = math.prod(shape)
-            values = _hex_values(text, count)
+            values = decode_hex(text, count)
             if values is None:
                 why = (
                     "; it holds decimals, the encoding before hex: re-run `pointpeft pretrain`"
@@ -866,19 +888,6 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
             raise DataError(f"{path}: {exc}") from exc
         i += 2
     return config, store
-
-
-def _hex_values(text: str, count: int) -> Array | None:
-    """The `count` doubles a value line holds, or None if it holds anything else."""
-    if len(text) != HEX_DIGITS_PER_VALUE * count:
-        return None
-    try:
-        raw = bytearray.fromhex(text)
-    except ValueError:  # a digit that is not hex
-        return None
-    if len(raw) * 2 != len(text):  # fromhex skips ASCII whitespace
-        return None
-    return np.frombuffer(raw, "<f8")
 
 
 def validate_store_layout(store: ParamStore, expected: dict[str, tuple[int, ...]]) -> None:

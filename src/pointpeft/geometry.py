@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import HEX_DIGITS_PER_VALUE, decode_hex, encode_hex
 from .errors import DataError, UsageError
 
 Array = np.ndarray
@@ -406,19 +407,19 @@ def generate_scene(seed: int, spec: SceneSpec) -> PointCloud:
 
 
 def save_cloud(path, cloud: PointCloud) -> None:
-    """One point per line `x y z f1 .. fc label`, label -1 when unannotated.
+    """A `#points n channels c classes C` header, then one line per point:
+    `encode_hex` of its `x y z f1 .. fc label` values, the label -1 when
+    unannotated.
 
     Non-finite features raise DataError, as `load_cloud` would refuse them.
     """
     if not np.isfinite(cloud.feats).all():
         raise DataError("non-finite features cannot be written to a cloud file")
-    lines = [f"#points {cloud.n} channels {cloud.c} classes {cloud.num_classes}"]
     labels = cloud.labels if cloud.labels is not None else np.full(cloud.n, -1)
-    for i in range(cloud.n):
-        cols = [repr(float(v)) for v in cloud.coords[i]]
-        cols += [repr(float(v)) for v in cloud.feats[i]]
-        cols.append(str(int(labels[i])))
-        lines.append(" ".join(cols))
+    body = encode_hex(np.column_stack([cloud.coords, cloud.feats, labels]))
+    width = len(body) // cloud.n
+    lines = [f"#points {cloud.n} channels {cloud.c} classes {cloud.num_classes}"]
+    lines += [body[at : at + width] for at in range(0, len(body), width)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -436,31 +437,47 @@ def read_text(path) -> str:
 def load_cloud(path) -> PointCloud:
     """Read a `save_cloud` file; malformed content raises DataError.
 
-    The point rows are parsed by numpy's text reader in one call, which
-    takes plain ASCII decimals only (no `1_000`, no non-ASCII digits).
+    Every point row must be exactly 16 hex digits per value wide; the rows
+    are joined and decoded with one `decode_hex` call. A cloud written with
+    decimal rows, the encoding before hex, is refused like any other
+    malformed row.
     """
     raw = [ln for ln in read_text(path).split("\n") if ln and not ln.isspace()]
-    if not raw or not raw[0].lstrip().startswith("#points"):
+    if not raw:
         raise DataError(f"{path}: missing '#points n channels c classes C' header")
-    header = raw[0].strip()
-    head = header.split()
-    try:
-        n, c, num_classes = int(head[1]), int(head[3]), int(head[5])
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"{path}: malformed header {header!r}") from exc
+    head = raw[0].split()
+    counts = head[1::2]
+    if (
+        len(head) != 6
+        or head[::2] != ["#points", "channels", "classes"]
+        or not all(v.isascii() and v.isdigit() for v in counts)
+    ):
+        raise DataError(
+            f"{path}: header {raw[0]!r} is not '#points n channels c classes C'"
+            " with n, c and C written in the digits 0-9"
+        )
+    n, c, num_classes = map(int, counts)
     body = raw[1:]
     if n < 1:
         raise DataError(f"{path}: header says {n} points; a cloud needs at least one")
-    if c < 0:
-        raise DataError(f"{path}: negative channel count in {header!r}")
     if len(body) != n:
         raise DataError(f"{path}: header says {n} points, found {len(body)} lines")
-    try:
-        rows = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as exc:  # a non-numeric value, or rows of unequal length
-        raise DataError(f"{path}: malformed point rows: {exc}") from exc
-    if rows.shape[1] != 3 + c + 1:
-        raise DataError(f"{path}: expected {3 + c + 1} columns, got {rows.shape[1]}")
+    width = 3 + c + 1
+    values = None
+    if set(map(len, body)) == {HEX_DIGITS_PER_VALUE * width}:
+        values = decode_hex("".join(body), n * width)
+    if values is None:
+        why = (
+            "; they hold decimals, the encoding before hex: `pointpeft gen-data` with the"
+            " same spec and seed rewrites the cloud bitwise"
+            if any("." in row for row in body)
+            else ""
+        )
+        raise DataError(
+            f"{path}: each point row must hold {width} values (x y z, {c} features, label) as "
+            f"{HEX_DIGITS_PER_VALUE} hex digits each (IEEE-754 binary64, little-endian){why}"
+        )
+    rows = values.reshape(n, width)
     if not np.isfinite(rows).all():
         raise DataError(f"{path}: non-finite value in point rows")
     labels = rows[:, -1]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,11 @@ from hypothesis import strategies as st
 
 from pointpeft import geometry as geo
 from pointpeft.errors import DataError, UsageError
+
+
+def hex_row(*values) -> str:
+    """One cloud point row as `save_cloud` writes it, from `struct`."""
+    return struct.pack(f"<{len(values)}d", *values).hex()
 
 
 def make_cloud(coords, **kw):
@@ -357,37 +364,82 @@ class TestCloudIO:
         loaded = geo.load_cloud(path)
         assert loaded.labels is None
 
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """Each row is the little-endian binary64 bytes of `x y z f1..fc
+        label` in hex: -0.0, the smallest subnormal, 1.0 and the -1 label
+        of an unannotated cloud with no feature channels."""
+        cloud = geo.PointCloud(
+            coords=np.array([[-0.0, 5e-324, 1.0], [0.0, -5e-324, -2.5]]),
+            feats=np.zeros((2, 0)),
+            num_classes=2,
+        )
+        path = tmp_path / "cloud.txt"
+        geo.save_cloud(path, cloud)
+        assert path.read_bytes() == (
+            b"#points 2 channels 0 classes 2\n"
+            b"0000000000000080" b"0100000000000000" b"000000000000f03f" b"000000000000f0bf\n"
+            b"0000000000000000" b"0100000000000080" b"00000000000004c0" b"000000000000f0bf\n"
+        )
+        loaded = geo.load_cloud(path)
+        assert loaded.coords.tobytes() == cloud.coords.tobytes()
+        assert loaded.feats.shape == (2, 0) and loaded.labels is None
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("0 0 0 0 0 0 0 0 0 -1\n")
-        with pytest.raises(DataError):
+        path.write_text(hex_row(0, 0, 0, 0, 0) + "\n")
+        with pytest.raises(DataError, match="is not '#points n channels c classes C'"):
+            geo.load_cloud(path)
+
+    # each header would load if its counts were read by position with int():
+    # as c=1 and C=3, the row's label 2 would be in range
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "#points 1 classes 1 channels 3",
+            "#points 1 channels 1 classes 3 labels",
+            "#points 1 channels 1 classes 3 4",
+            "#points 1 chanels 1 classes 3",
+            "#points 1 channels 1 classes ３",
+            "#points 1 channels 1 classes 0_3",
+            "#points 1 channels +1 classes 3",
+        ],
+        ids=[
+            "swapped-keywords", "extra-token", "extra-count", "misspelled-keyword",
+            "fullwidth-digit", "underscore", "plus-sign",
+        ],
+    )
+    def test_header_keywords_checked(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n{hex_row(0, 0, 0, 0, 2)}\n")
+        with pytest.raises(DataError, match="is not '#points n channels c classes C'"):
             geo.load_cloud(path)
 
     def test_point_count_checked(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("#points 2 channels 1 classes 1\n0 0 0 1.0 0\n")
-        with pytest.raises(DataError):
+        path.write_text(f"#points 2 channels 1 classes 1\n{hex_row(0, 0, 0, 1, 0)}\n")
+        with pytest.raises(DataError, match="header says 2 points, found 1 lines"):
             geo.load_cloud(path)
 
     @pytest.mark.parametrize(
-        "body",
+        "rows, reason",
         [
-            "0 0 0 1.0 0\n0 0 0 1.0\n",  # ragged rows
-            "0 0 0 1.0 0\n0 0 zero 1.0 0\n",  # a non-numeric value
-            "0 0 0 1.0 0\n0 0 0 nan 0\n",  # a NaN feature
+            ([hex_row(0, 0, 0, 1, 0), hex_row(0, 0, 0, 1)], "hex digits"),  # ragged: a value short
+            ([hex_row(0, 0, 0, 1), hex_row(0, 0, 0, 1, 0, 0)], "hex digits"),  # a value moved to the next row
+            ([hex_row(0, 0, 0, 1, 0), hex_row(0, 0, 0, 1, 0)[:-1] + "z"], "hex digits"),  # not hex
+            ([hex_row(0, 0, 0, 1, 0), hex_row(0, 0, 0, float("nan"), 0)], "non-finite"),
         ],
-        ids=["ragged", "non-numeric", "nan-feature"],
+        ids=["ragged", "shifted", "non-numeric", "nan-feature"],
     )
-    def test_malformed_rows_raise_data_error(self, tmp_path, body):
+    def test_malformed_rows_raise_data_error(self, tmp_path, rows, reason):
         path = tmp_path / "bad.txt"
-        path.write_text("#points 2 channels 1 classes 1\n" + body)
-        with pytest.raises(DataError):
+        path.write_text("\n".join(["#points 2 channels 1 classes 1", *rows]) + "\n")
+        with pytest.raises(DataError, match=reason):
             geo.load_cloud(path)
 
     def test_empty_cloud_raises_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#points 0 channels 1 classes 1\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="at least one"):
             geo.load_cloud(path)
 
 

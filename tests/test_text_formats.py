@@ -40,8 +40,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 # hex digits, header words, numbers at and past the edges, and tokens that
 # float() takes but the loaders refuse.
 PIECES = (
-    list(" \t\n.-+eE#=,_[]x0123456789afAF")
-    + ["0000000000000000", "000000000000f07f"]
+    list(" \t\n.-+eE#=,_[]x0123456789abcdefABCDEF")
+    + ["0000000000000000", "000000000000f07f", "000000000000f8ff", "0000000000000080"]
+    + ["0100000000000000", "000000000000f03f", "000000000000f0bf", "0000000000000840"]
     + ["nan", "inf", "-1", "1e999", "5e-324", "99999999999999999999", "1_000", "١٢"]
     + ["\u00a0", "\u2003", "\x00", "\x0c", "#points", "channels", "classes"]
     + ["[config]", "[params]", "\t0\t", ",", "0,3"]
@@ -158,7 +159,8 @@ class TestCloudText:
             geo.save_cloud(tmp_path / "cloud.txt", cloud)
         assert not (tmp_path / "cloud.txt").exists()
 
-    # float() takes these; numpy's reader, which parses the rows, does not
+    # float() and int(s, 16) take these; spliced into a row they keep its
+    # width, and the hex reader refuses them
     @pytest.mark.parametrize(
         "token",
         ["1_000", "١٢", "１２"],
@@ -166,23 +168,48 @@ class TestCloudText:
     )
     def test_tokens_float_takes_raise_data_error(self, tmp_path, token):
         path = tmp_path / "cloud.txt"
-        path.write_text(f"#points 1 channels 1 classes 1\n0 0 0 {token} 0\n", encoding="utf-8")
-        with pytest.raises(DataError):
+        row = ag.encode_hex([0.0, 0.0, 0.0, 1.0, 0.0])
+        row = row[:48] + token + row[48 + len(token) :]
+        path.write_text(f"#points 1 channels 1 classes 1\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="hex digits"):
             geo.load_cloud(path)
 
+    # two spaces in place of two digits keep the row's width; `fromhex`
+    # skips ASCII whitespace, so only the decoded byte count shows them
     @pytest.mark.parametrize(
-        "space", ["\u00a0", "\u2003", "\x0c"], ids=["no-break-space", "em-space", "form-feed"]
+        "space",
+        ["  ", "\t\t", "\x0c\x0c", "\u00a0\u00a0", "\u2003\u2003"],
+        ids=["space", "tab", "form-feed", "no-break-space", "em-space"],
     )
-    def test_any_whitespace_separates_values(self, tmp_path, space):
-        """The reader splits on what str.split() splits on."""
+    def test_whitespace_inside_a_row_raises_data_error(self, tmp_path, space):
         path = tmp_path / "cloud.txt"
-        path.write_text(f"#points 1 channels 1 classes 1\n0 0{space}0 1.5 0\n", encoding="utf-8")
-        assert geo.load_cloud(path).feats.tolist() == [[1.5]]
+        row = ag.encode_hex([0.0, 0.0, 0.0, 1.5, 0.0])
+        row = row[:32] + space + row[34:]
+        path.write_text(f"#points 1 channels 1 classes 1\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="hex digits"):
+            geo.load_cloud(path)
+
+    # one point with c=1 takes a row of 5 values, 80 hex digits
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("000000000000f03f" + "0" * 63, "hex digits"),
+            ("000000000000f03f" + "0" * 80, "hex digits"),
+            ("1.0 0.0 0.0 1.0 0", "decimals, the encoding before hex: `pointpeft gen-data`"),
+        ],
+        ids=["odd-digit-count", "wrong-width", "decimal"],
+    )
+    def test_malformed_hex_row_raises_data_error(self, tmp_path, row, reason):
+        path = tmp_path / "cloud.txt"
+        path.write_text(f"#points 1 channels 1 classes 1\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=reason):
+            geo.load_cloud(path)
 
     def test_non_integer_label_raises_data_error(self, tmp_path):
         path = tmp_path / "cloud.txt"
-        path.write_text("#points 1 channels 1 classes 3\n0 0 0 1.0 1.5\n")
-        with pytest.raises(DataError):
+        row = ag.encode_hex([0.0, 0.0, 0.0, 1.0, 1.5])
+        path.write_text(f"#points 1 channels 1 classes 3\n{row}\n")
+        with pytest.raises(DataError, match="labels must be integers"):
             geo.load_cloud(path)
 
 

@@ -1,4 +1,4 @@
-"""Checkpoint round trips: digests, load and save times, file sizes.
+"""Checkpoint and cloud round trips: digests, load and save times, file sizes.
 
     PYTHONPATH=src python tools/checkpoint_check.py > out.json
 
@@ -20,6 +20,20 @@ depend on the checkpoint encoding, so running this on two commits that
 encode differently shows, through equal `loaded` digests, that both round
 trips give the same store. `timings` holds medians of 7 `load_checkpoint`
 and `save_checkpoint` calls on freshly initialised backbones of both sizes.
+
+`clouds` holds the same for cloud files. Each digest is a SHA-256 over
+the point count, channel count, class count, coordinates, features and
+labels of a list of clouds, once as generated (`saved`) and once after
+`write_dataset` or `save_cloud` and then `load_dataset` or `load_cloud`
+(`loaded`):
+
+- `gem-small-seed1` .. `gem-small-seed3`: the source, target and held-out
+  splits perfbench's gem-small writes at seeds 1-3, 48 clouds each;
+- `edges`: an unannotated cloud with no feature channels and an annotated
+  one, holding ±0.0, ±5e-324, values near 1e±300 and the largest double.
+
+`timings` holds the median microseconds of `load_cloud` per gem-small
+cloud, over 7 loads of each of seed 1's 48 files, and their mean size.
 The script sets one BLAS thread before numpy loads, as perfbench does.
 """
 
@@ -28,6 +42,7 @@ import os
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+import glob  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
@@ -38,6 +53,7 @@ import numpy as np  # noqa: E402
 
 from pointpeft import autograd as ag  # noqa: E402
 from pointpeft import backbone as bb  # noqa: E402
+from pointpeft import geometry as geo  # noqa: E402
 from pointpeft import peft as pf  # noqa: E402
 from pointpeft import training as tr  # noqa: E402
 
@@ -69,6 +85,66 @@ def edge_store() -> ag.ParamStore:
     store.add("extremes", np.array([[1e300, -1e-300], [1.7976931348623157e308, 2.2250738585072014e-308]]))
     store.add("empty", np.zeros((3, 0)))
     return store
+
+
+def cloud_digest(clouds: list[geo.PointCloud]) -> str:
+    h = hashlib.sha256()
+    for cloud in clouds:
+        h.update(f"{cloud.n}\t{cloud.c}\t{cloud.num_classes}\t{cloud.labels is None}\n".encode("utf-8"))
+        for part in (cloud.coords, cloud.feats, cloud.labels):
+            if part is not None:
+                h.update(part.tobytes())
+    return h.hexdigest()
+
+
+def edge_clouds() -> list[geo.PointCloud]:
+    extremes = np.array(
+        [[0.0, -0.0, 5e-324], [-5e-324, 1e300, -1e-300], [1.7976931348623157e308, 2.2250738585072014e-308, -2.5]]
+    )
+    return [
+        geo.PointCloud(coords=extremes, feats=np.zeros((3, 0)), num_classes=0),
+        geo.PointCloud(coords=extremes[::-1], feats=extremes, labels=np.array([0, 2, 1]), num_classes=3),
+    ]
+
+
+def gem_small_splits(seed: int, work: str) -> tuple[list[geo.PointCloud], list[geo.PointCloud]]:
+    """The clouds perfbench's gem-small generates at `seed` (source 16 x 48
+    points per class, target and held-out 16 x 36), as generated and as
+    loaded back from the files `write_dataset` wrote to `work`."""
+    generated, loaded = [], []
+    for i, (spec, count) in enumerate(((tr.source_spec(48), 16), (tr.target_spec(36), 16), (tr.target_spec(36), 16))):
+        split_seed, path = 1000 * seed + i + 1, os.path.join(work, f"split{i}")
+        tr.write_dataset(path, spec, count, split_seed)
+        generated += tr.generate_dataset(spec, count, split_seed)
+        loaded += tr.load_dataset(path)
+    return generated, loaded
+
+
+def cloud_checks(work: str) -> dict:
+    out = {"digests": {}}
+    for seed in (1, 2, 3):
+        generated, loaded = gem_small_splits(seed, os.path.join(work, f"seed{seed}"))
+        out["digests"][f"gem-small-seed{seed}"] = {"saved": cloud_digest(generated), "loaded": cloud_digest(loaded)}
+    edges, path = edge_clouds(), os.path.join(work, "edge.txt")
+    loaded = []
+    for cloud in edges:
+        geo.save_cloud(path, cloud)
+        loaded.append(geo.load_cloud(path))
+    out["digests"]["edges"] = {"saved": cloud_digest(edges), "loaded": cloud_digest(loaded)}
+
+    files = sorted(glob.glob(os.path.join(work, "seed1", "split*", "cloud_*.txt")))
+    times = []
+    for _ in range(CALLS):
+        for name in files:
+            t0 = time.perf_counter()
+            geo.load_cloud(name)
+            times.append(time.perf_counter() - t0)
+    out["timings"] = {
+        "clouds": len(files),
+        "load_us": round(1e6 * statistics.median(times), 1),
+        "mean_file_bytes": round(statistics.mean(os.path.getsize(name) for name in files)),
+    }
+    return out
 
 
 def median_ms(fn) -> float:
@@ -114,6 +190,7 @@ def main() -> None:
                 "save_ms": save_ms,
                 "file_bytes": os.path.getsize(path),
             }
+        out["clouds"] = cloud_checks(work)
     print(json.dumps(out, indent=2))
 
 
