@@ -60,7 +60,7 @@ print("mean spread, random groups: ",
       round(mean_patch_spread(shuffled.reshape(part.index.shape)), 3))
 
 # the 3x3x3 stencil indexes neighbor voxels for the spatial adapter
-offsets = stencil_offsets(3)
+offsets = stencil_offsets()
 occupied = int((nbr.neighbor_voxels >= 0).sum())
 print(f"\nstencil of {len(offsets)} offsets; "
       f"{occupied} occupied neighbor links across {nbr.num_voxels} voxels")

@@ -221,17 +221,16 @@ def matmul(a, b) -> Tensor:
 
 
 def gather_rows(a, index) -> Tensor:
-    """Select rows along axis 0; index -1 yields a zero row."""
+    """Select rows along axis 0 (`np.take`); repeated rows add their grads."""
     a = _wrap(a)
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows index must be 1-d, got shape {idx.shape}")
-    valid = idx >= 0
-    data = _take_rows(a.data, idx)
+    data = np.take(a.data, idx, axis=0)
 
     def bwd(g: Array) -> None:
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx[valid], g[valid])
+        np.add.at(ga, idx, g)
         _accum(a, ga)
 
     return _node(data, (a,), bwd)
@@ -554,37 +553,37 @@ def stencil(vox, neighbors, kernels) -> Tensor:
     """Sum over slots s of vox[neighbors[:, s]] @ kernels[s], as one node.
 
     `vox` is (V, r); `neighbors` (V, S) holds voxel ids, -1 for an empty
-    slot, which contributes nothing.  The S gathered rows sit side by side,
-    (V, S*r), times the S kernels (r, o) stacked in slot order, (S*r, o).
+    slot, which contributes nothing; `kernels` is (S, r, o), one kernel per
+    slot.  The S gathered rows sit side by side, (V, S*r), times the
+    kernels read as one (S*r, o) matrix.
 
     The backward requires a symmetric relation: slot s of voxel v holds u
     exactly when slot S-1-s of u holds v.  `geometry.build_neighbor_index`
-    gives that, since `stencil_offsets` is in base-k order and slot S-1-s is
+    gives that, since `stencil_offsets` is in base-K order and slot S-1-s is
     the negated offset.  Voxel u's gradient, the sum of g[v] @ kernels[s].T
     over every (v, s) whose slot holds u, is then the sum over u's own
     slots s of g[neighbors[u, s]] @ kernels[S-1-s].T: the forward's gather,
     of g, times the transposed kernels stacked in mirrored slot order.
     """
-    vox = _wrap(vox)
-    kernels = tuple(_wrap(kern) for kern in kernels)
-    flat = np.asarray(neighbors, dtype=np.int64).ravel()
+    vox, kernels = _wrap(vox), _wrap(kernels)
+    neighbors = np.asarray(neighbors, dtype=np.int64)
     num_voxels, r = vox.data.shape
+    if kernels.data.ndim != 3 or kernels.data.shape[:2] != (neighbors.shape[1], r):
+        raise ShapeError(f"kernels {kernels.shape} for {neighbors.shape} neighbors of width {r}")
+    flat = neighbors.ravel()
     gathered = _take_rows(vox.data, flat).reshape(num_voxels, -1)
-    stacked = np.concatenate([kern.data for kern in kernels])
-    if stacked.shape[0] != gathered.shape[1]:
-        raise ShapeError(f"{len(kernels)} kernels of {kernels[0].shape} for {gathered.shape} neighbors")
-    data = gathered @ stacked
+    data = gathered @ kernels.data.reshape(gathered.shape[1], -1)
 
     def bwd(g: Array) -> None:
         if vox.requires_grad:
-            mirrored = np.concatenate([kern.data.T for kern in reversed(kernels)])
+            # kept Fortran-ordered: a C-ordered copy of the same values takes
+            # another BLAS path and can move the gradient's last bits
+            mirrored = kernels.data[::-1].transpose(1, 0, 2).reshape(r, -1).T
             _accum(vox, _take_rows(g, flat).reshape(num_voxels, -1) @ mirrored)
-        gk = gathered.T @ g
-        for s, kern in enumerate(kernels):
-            if kern.requires_grad:
-                _accum(kern, gk[s * r : (s + 1) * r])
+        if kernels.requires_grad:
+            _accum(kernels, (gathered.T @ g).reshape(kernels.data.shape))
 
-    return _node(data, (vox, *kernels), bwd)
+    return _node(data, (vox, kernels), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,8 @@ def parse_sweep_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key in _SWEEP_LIST_KEYS:
             out[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+            if not out[key]:
+                raise UsageError(f"sweep config {key} lists no values")
         elif key in _SWEEP_SCALAR_KEYS:
             out[key] = value
         else:

@@ -22,6 +22,7 @@ WALL_HEIGHT = 2.0
 SHAPE_NAMES = ("floor", "wall", "box", "sphere")
 
 _MORTON_BITS = 21
+STENCIL_K = 3  # voxels per axis of the spatial adapter's stencil
 
 
 @dataclass
@@ -171,11 +172,9 @@ def serialize(cloud: PointCloud, voxel_size: float, p: int) -> PatchPartition:
     return partition(morton_order(voxel_keys(cloud.coords, voxel_size)), cloud.n, p)
 
 
-def stencil_offsets(k: int = 3) -> Array:
-    """The k^3 integer offsets of a centered stencil, in base-k slot order."""
-    if k % 2 == 0 or k < 1:
-        raise UsageError(f"stencil size must be a positive odd integer, got {k}")
-    return np.indices((k, k, k)).reshape(3, -1).T - k // 2
+def stencil_offsets() -> Array:
+    """The K^3 integer offsets of a centered stencil, K = STENCIL_K, in base-K slot order."""
+    return np.indices((STENCIL_K,) * 3).reshape(3, -1).T - STENCIL_K // 2
 
 
 @dataclass(frozen=True)
@@ -191,12 +190,11 @@ class NeighborIndex:
     """
 
     num_points: int
-    k: int
-    offsets: Array  # (k^3, 3)
+    offsets: Array  # (K^3, 3)
     voxel_of_point: Array  # (n,) voxel id per point
     point_order: Array  # (n,) point indices sorted by voxel id
     voxel_starts: Array  # (num_voxels + 1,) run boundaries in point_order
-    neighbor_voxels: Array  # (num_voxels, k^3)
+    neighbor_voxels: Array  # (num_voxels, K^3)
 
     @property
     def num_voxels(self) -> int:
@@ -209,12 +207,12 @@ class NeighborIndex:
         return tuple(self.point_order[a:b] for a, b in zip(s[:-1], s[1:]))
 
     def slot(self, offset) -> int:
-        half = self.k // 2
-        dx, dy, dz = (int(v) + half for v in offset)
+        k = STENCIL_K
+        dx, dy, dz = (int(v) + k // 2 for v in offset)
         for v in (dx, dy, dz):
-            if not 0 <= v < self.k:
+            if not 0 <= v < k:
                 raise UsageError(f"offset {tuple(offset)} outside the stencil")
-        return (dx * self.k + dy) * self.k + dz
+        return (dx * k + dy) * k + dz
 
     def neighbors(self, i: int, offset) -> Array:
         """Point indices whose voxel key equals key(i) + offset."""
@@ -224,15 +222,15 @@ class NeighborIndex:
         return self.point_order[self.voxel_starts[v] : self.voxel_starts[v + 1]]
 
 
-def build_neighbor_index(cloud: PointCloud, voxel_size: float, k: int = 3) -> NeighborIndex:
-    """Index each point's k^3 stencil of vicinity voxels.
+def build_neighbor_index(cloud: PointCloud, voxel_size: float) -> NeighborIndex:
+    """Index each point's stencil of K^3 vicinity voxels, K = STENCIL_K.
 
     Each voxel key is packed into one int64: every axis is replaced by its
     rank among the distinct coordinates on that axis, so the packed value
     stays below V^3 for V occupied voxels and sorts like the key rows.  All
-    k^3 neighbors are then found with one `searchsorted`.
+    K^3 neighbors are then found with one `searchsorted`.
     """
-    offsets = stencil_offsets(k)
+    offsets = stencil_offsets()
     keys = voxel_keys(cloud.coords, voxel_size)
     axes = [np.unique(keys[:, a], return_inverse=True) for a in range(3)]
     (v0, r0), (v1, r1), (v2, r2) = axes
@@ -251,7 +249,7 @@ def build_neighbor_index(cloud: PointCloud, voxel_size: float, k: int = 3) -> Ne
     num_voxels = starts.size
     # per axis and voxel: the rank its coordinate moves to at each stencil
     # step, -1 where no point has that coordinate
-    steps = np.arange(k, dtype=np.int64) - k // 2
+    steps = np.arange(STENCIL_K, dtype=np.int64) - STENCIL_K // 2
     first_points = point_order[starts]
     moved = []
     for values, rank in axes:
@@ -266,7 +264,6 @@ def build_neighbor_index(cloud: PointCloud, voxel_size: float, k: int = 3) -> Ne
     found = known.reshape(num_voxels, -1) & (occupied[slot] == wanted)
     return NeighborIndex(
         num_points=cloud.n,
-        k=k,
         offsets=offsets,
         voxel_of_point=voxel_of_point,
         point_order=point_order,

@@ -3,10 +3,11 @@
 Implements linear probing, BitFit, bottleneck adapters, LoRA on the attention
 projections, prompt tokens, and the geometry-aware pair of branches: a
 spatial adapter (rank-r bottleneck with 27 per-offset kernels over a 3x3x3
-voxel stencil, inserted with the positional encoding) and a context adapter
-(m latent tokens that attend over all points and are attended back, inserted
-after local attention in every block).  All up-projections start at zero so
-an attached model initially reproduces the frozen one exactly.
+voxel stencil, held as one (27, r, r) entry, inserted with the positional
+encoding) and a context adapter (m latent tokens that attend over all points
+and are attended back, inserted after local attention in every block).  All
+up-projections start at zero so an attached model initially reproduces the
+frozen one exactly.
 
 Each hook passes the forward's optional tracer on to its branch, which
 reports multiply-adds per site; the context adapter also reports its
@@ -24,7 +25,7 @@ from . import autograd as ag
 from .autograd import Array, ParamStore, Tensor
 from .backbone import BackboneConfig, expected_layout
 from .errors import ContractError, InfeasibleBudgetError, UsageError
-from .geometry import NeighborIndex, stencil_offsets
+from .geometry import STENCIL_K, NeighborIndex
 
 METHODS = (
     "linear",
@@ -41,7 +42,6 @@ TOKEN_METHODS = ("prompt", "gem", "gem_ca_only")
 SHARING_METHODS = ("gem", "gem_ca_only")
 SHARING_MODES = ("per_block", "per_stage", "global")
 
-STENCIL_K = 3  # the only stencil size; configs record it as `k`
 DEFAULT_RANK = 8
 DEFAULT_TOKENS = 4
 # budget-matched scans keep tokens proportional to rank at the 4:32 default ratio
@@ -235,14 +235,6 @@ class PeftAttachment:
 # branch computations
 
 
-def _kernel_name(offset, k: int) -> str:
-    """`peft.sa.kern.XYZ`: the offset's digits shifted to 0..k-1."""
-    return "peft.sa.kern." + "".join(str(int(v) + k // 2) for v in offset)
-
-
-KERNEL_NAMES = tuple(_kernel_name(off, STENCIL_K) for off in stencil_offsets(STENCIL_K))
-
-
 def adapter_branch(x: Tensor, down: Tensor, up: Tensor) -> Tensor:
     """Bottleneck residual block: x + relu(x W_down) W_up."""
     return ag.add(x, ag.matmul(ag.relu(ag.matmul(x, down)), up))
@@ -264,11 +256,11 @@ def spatial_adapter_branch(
     num_voxels, d = vox.shape
     down, up = store["peft.sa.down"], store["peft.sa.up"]
     r = down.shape[1]
-    kernels = [store[name] for name in KERNEL_NAMES]
+    kernels = store["peft.sa.kernels"]
     mixed = ag.stencil(ag.matmul(vox, down), nbr.neighbor_voxels, kernels)
     per_point = ag.gather_rows(mixed, nbr.voxel_of_point)
     if tracer is not None:
-        tracer.record("sa", num_voxels * d * r + len(kernels) * num_voxels * r * r + n * r * d)
+        tracer.record("sa", num_voxels * d * r + kernels.shape[0] * num_voxels * r * r + n * r * d)
     return ag.matmul(ag.relu(per_point), up)
 
 
@@ -336,8 +328,11 @@ def _plan(config: PeftConfig, bconfig: BackboneConfig):
     }.get(config.method, [])
     plan = []
     if config.has_spatial:
-        plan += [("peft.sa.down", (d, r), b), *((n, (r, r), b) for n in KERNEL_NAMES)]
-        plan.append(("peft.sa.up", (r, d), 0))
+        plan += [
+            ("peft.sa.down", (d, r), b),
+            ("peft.sa.kernels", (STENCIL_K**3, r, r), b),
+            ("peft.sa.up", (r, d), 0),
+        ]
     blocks = config.active_blocks(bconfig.blocks)
     plan += [(f"peft.block{i}.{n}", shape, bound) for i in blocks for n, shape, bound in per_block]
     if config.has_context:

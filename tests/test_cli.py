@@ -15,8 +15,10 @@ import pointpeft.cli as cli
 import pointpeft.instrumentation as ins
 import pointpeft.peft as pf
 import pointpeft.training as tr
-from pointpeft.errors import DataError, NumericError
+from pointpeft.errors import ContractError, DataError, NumericError
 from pointpeft.geometry import scene_spec_text
+
+from test_peft import split_kernels
 
 
 BACKBONE_FLAGS = [
@@ -286,6 +288,19 @@ class TestEval:
         assert code == 2
         assert "hash" in capsys.readouterr().err
 
+    def test_per_offset_kernel_checkpoint_exits_two(self, ws, tmp_path, capsys):
+        """A gem checkpoint holding the 27 `peft.sa.kern.*` records of the
+        layout before the one (27, r, r) entry ends in a contract error."""
+        old = tmp_path / "old.ckpt"
+        split_kernels(ws["gem"], old)
+        code = cli.main(["eval", "--backbone", str(ws["bb"]), "--peft", str(old),
+                         "--data", str(ws["tgt"])])
+        assert code == ContractError.exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "'peft.sa.kern.111'" in captured.err
+        assert "re-run `pointpeft finetune`" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
     @pytest.mark.parametrize("method", pf.METHODS)
     def test_eval_reproduces_the_final_miou(self, ws, tmp_path, capsys, method):
@@ -455,6 +470,20 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: sweep config {key} = ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["methods", "ranks", "tokens", "sharing", "seeds", "budgets"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_exits_one(self, ws, tmp_path, capsys, key, value):
+        """An empty list key leaves no cells or no seeds to run (methods,
+        ranks, sharing and seeds once did so and exited 0)."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"methods = linear, gem\nepochs = 1\n{key} = {value}\n")
+        out = tmp_path / "results.csv"
+        code = cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
+                         "--data", str(ws["tgt"]), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: sweep config {key} lists no values\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [("lr", "nan"), ("wd", "-inf")])

@@ -102,6 +102,22 @@ def stencil_oracle(vox, neighbors, kernels):
     return acc
 
 
+def stencil_separate_kernels(vox, neighbors, kernels, g):
+    """The stencil's forward, vox gradient and kernel gradient as computed
+    when each of the S kernels was its own (r, o) array: stacked with
+    `np.concatenate`, the mirror a concatenation of their transposes."""
+    num_voxels, r = vox.shape
+    flat = neighbors.ravel()
+
+    def gather(a):
+        padded = np.concatenate([a, np.zeros((1, a.shape[1]))])
+        return np.take(padded, flat, axis=0).reshape(num_voxels, -1)
+
+    gathered = gather(vox)
+    mirrored = np.concatenate([kern.T for kern in reversed(kernels)])
+    return gathered @ np.concatenate(kernels), gather(g) @ mirrored, gathered.T @ g
+
+
 def stencil_vox_grad_oracle(g, neighbors, kernels, num_voxels):
     """Scatter each voxel's output gradient back through every filled slot."""
     spread = np.stack([g @ kern.T for kern in kernels], axis=1).reshape(-1, kernels[0].shape[0])
@@ -460,11 +476,11 @@ class TestShortRows:
 # stencil
 
 
-def stencil_case(rng, r=3, out=2):
-    cloud = geo.PointCloud(coords=rng.uniform(0, 1.6, (30, 3)), feats=np.zeros((30, 1)))
+def stencil_case(rng, r=3, out=2, n=30):
+    cloud = geo.PointCloud(coords=rng.uniform(0, 1.6, (n, 3)), feats=np.zeros((n, 1)))
     nbr = geo.build_neighbor_index(cloud, 0.5)
     vox = rand(rng, nbr.num_voxels, r)
-    kernels = [rand(rng, r, out) for _ in range(nbr.offsets.shape[0])]
+    kernels = rand(rng, nbr.offsets.shape[0], r, out)
     return nbr, vox, kernels
 
 
@@ -474,7 +490,7 @@ class TestStencil:
         nbr, vox, kernels = stencil_case(rng)
         assert (nbr.neighbor_voxels < 0).any()
         got = ag.stencil(vox, nbr.neighbor_voxels, kernels).data
-        want = stencil_oracle(vox.data, nbr.neighbor_voxels, [t.data for t in kernels])
+        want = stencil_oracle(vox.data, nbr.neighbor_voxels, kernels.data)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [17, 18, 19])
@@ -484,17 +500,32 @@ class TestStencil:
         assert (nbr.neighbor_voxels < 0).any() and (nbr.neighbor_voxels[:, :13] >= 0).any()
         g = rng.normal(size=(nbr.num_voxels, 4))
         ag.backward(tsum(ag.mul(ag.stencil(vox, nbr.neighbor_voxels, kernels), g)))
-        want = stencil_vox_grad_oracle(g, nbr.neighbor_voxels, [t.data for t in kernels], nbr.num_voxels)
+        want = stencil_vox_grad_oracle(g, nbr.neighbor_voxels, kernels.data, nbr.num_voxels)
         np.testing.assert_allclose(vox.grad, want, rtol=0, atol=1e-12)
 
     def test_central_differences(self):
         rng = np.random.default_rng(15)
         nbr, vox, kernels = stencil_case(rng, r=2, out=2)
         g = probe(rng, nbr.num_voxels, 2)
-        fd_check(lambda: ag.mul(ag.stencil(vox, nbr.neighbor_voxels, kernels), g), [vox, *kernels])
+        fd_check(lambda: ag.mul(ag.stencil(vox, nbr.neighbor_voxels, kernels), g), [vox, kernels])
+
+    @pytest.mark.parametrize("r,out,n", [(3, 2, 30), (8, 8, 144), (32, 32, 144)])
+    def test_bytes_match_separate_kernels(self, r, out, n):
+        """Forward and both gradients equal, byte for byte, those of 27
+        separate kernels; a mirror with the same values in C order instead
+        of Fortran order takes another BLAS path and can differ in the last
+        bits."""
+        rng = np.random.default_rng(20)
+        nbr, vox, kernels = stencil_case(rng, r, out, n)
+        g = rng.uniform(-1, 1, (nbr.num_voxels, out))
+        want = stencil_separate_kernels(vox.data, nbr.neighbor_voxels, [k.copy() for k in kernels.data], g)
+        got = ag.stencil(vox, nbr.neighbor_voxels, kernels)
+        ag.backward(tsum(ag.mul(got, ag.Tensor(g))))
+        for have, ref in zip((got.data, vox.grad, kernels.grad.reshape(-1, out)), want):
+            assert have.shape == ref.shape and have.tobytes() == ref.tobytes()
 
     def test_kernel_count_must_match_slots(self):
         rng = np.random.default_rng(16)
         nbr, vox, kernels = stencil_case(rng)
         with pytest.raises(ShapeError):
-            ag.stencil(vox, nbr.neighbor_voxels, kernels[:-1])
+            ag.stencil(vox, nbr.neighbor_voxels, ag.Tensor(kernels.data[:-1]))

@@ -149,9 +149,9 @@ class TestPartition:
         assert np.array_equal(part.key_pad[:, 0, 0], part.index < 0)
 
 
-def reference_neighbor_voxels(coords, voxel_size, k=3):
+def reference_neighbor_voxels(coords, voxel_size):
     """The stencil by dictionary lookup: one probe per voxel and offset."""
-    offsets = geo.stencil_offsets(k)
+    offsets = geo.stencil_offsets()
     uniq = np.unique(geo.voxel_keys(coords, voxel_size), axis=0)
     ids = {tuple(int(v) for v in key): vid for vid, key in enumerate(uniq)}
     out = np.full((uniq.shape[0], offsets.shape[0]), -1, dtype=np.int64)
@@ -181,10 +181,6 @@ class TestNeighborIndex:
         assert list(nbr.neighbors(0, (1, 0, 0))) == [1]
         assert list(nbr.neighbors(1, (-1, 0, 0))) == [0]
         assert nbr.neighbors(0, (-1, 0, 0)).size == 0
-
-    def test_even_k_rejected(self):
-        with pytest.raises(UsageError):
-            geo.build_neighbor_index(make_cloud([[0, 0, 0]]), 1.0, k=2)
 
     def test_center_always_contains_self(self):
         rng = np.random.default_rng(3)
@@ -247,7 +243,7 @@ class TestNeighborIndex:
         nv = geo.build_neighbor_index(make_cloud(coords), voxel).neighbor_voxels
         v, s = np.nonzero(nv >= 0)
         np.testing.assert_array_equal(nv[nv[v, s], 26 - s], v)
-        np.testing.assert_array_equal(geo.stencil_offsets(3)[26 - s], -geo.stencil_offsets(3)[s])
+        np.testing.assert_array_equal(geo.stencil_offsets()[26 - s], -geo.stencil_offsets()[s])
 
     def test_neighbor_count_bound(self):
         rng = np.random.default_rng(5)

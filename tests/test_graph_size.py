@@ -47,7 +47,7 @@ def loss_of_one_cloud(method):
 def test_gem_graph_stays_small():
     loss = loss_of_one_cloud("gem")
     assert loss.requires_grad
-    assert reachable(loss) <= 204
+    assert reachable(loss) <= 178
 
 
 def test_plain_backbone_graph_stays_small():

@@ -32,6 +32,21 @@ def run(cloud, config, store, attachment=None, **kw):
     return bb.forward(cloud, part, nbr, attachment, store, config, **kw)
 
 
+def split_kernels(path, out):
+    """Rewrite an attachment checkpoint with its (27, r, r) kernels as the
+    27 records `peft.sa.kern.000`..`222` that held them before, in slot
+    order, each named by its offset's digits shifted to 0..2."""
+    cfg, sub = ag.load_checkpoint(path)
+    old = ag.ParamStore()
+    for name, t in sub.items():
+        if name != "peft.sa.kernels":
+            old.add(name, t.data, frozen=sub.frozen(name))
+            continue
+        for offset, kern in zip(geo.stencil_offsets(), t.data):
+            old.add("peft.sa.kern." + "".join(str(v + 1) for v in offset), kern)
+    ag.save_checkpoint(out, old, cfg)
+
+
 def attached_model(method, bconfig=None, seed=0, **peft_kw):
     bconfig = bconfig or small_config()
     store = bb.init_backbone(bconfig, seed)
@@ -210,6 +225,17 @@ class TestSpatialAdapter:
             assert enumerated == 2 * r * d + 27 * r * r
             assert peft.peft_param_count(pconfig, bconfig) == enumerated
 
+    def test_kernels_are_one_entry(self):
+        """The 27 kernels sit in one (27, r, r) entry, slot order, between
+        the down- and up-projections: a gem store at rank 8 and 4 tokens
+        holds 106 entries."""
+        _, store, _, _ = attached_model("gem", rank=8, tokens=4)
+        assert len(store.names()) == 106
+        assert [n for n in store.names() if n.startswith("peft.sa.")] == [
+            "peft.sa.down", "peft.sa.kernels", "peft.sa.up"
+        ]
+        assert store["peft.sa.kernels"].shape == (27, 8, 8)
+
     def test_isolated_point_uses_center_kernel_only(self):
         bconfig, store, _, attachment = attached_model("gem_sa_only", seed=9, rank=4)
         store["peft.sa.up"].data[:] = np.random.default_rng(7).normal(size=(4, 8))
@@ -218,7 +244,7 @@ class TestSpatialAdapter:
         x0 = bb.embed(cloud, store)
         branch = peft.spatial_adapter_branch(attachment.input_state(x0, nbr), nbr, store).data
         manual = np.maximum(
-            x0.data @ store["peft.sa.down"].data @ store["peft.sa.kern.111"].data, 0.0
+            x0.data @ store["peft.sa.down"].data @ store["peft.sa.kernels"].data[13], 0.0
         ) @ store["peft.sa.up"].data
         np.testing.assert_allclose(branch, manual, atol=1e-14)
 
@@ -588,6 +614,22 @@ class TestPeftCheckpoint:
             peft.load_peft(path, bb.init_backbone(bconfig, 22), bconfig)
         message = str(err.value)
         assert "'backbone.embed.bias'" in message and "'backbone.block3.ln2.shift'" in message
+        assert "re-run `pointpeft finetune`" in message
+
+    @pytest.mark.parametrize("method", ["gem", "gem_sa_only"])
+    def test_per_offset_kernel_checkpoint_refused(self, method, tmp_path):
+        """A spatial-adapter checkpoint written when each of the 27 kernels
+        was its own entry is refused with the entries it lacks and holds."""
+        bconfig, store, pconfig, _ = attached_model(method, seed=23, rank=2, tokens=2)
+        path, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        peft.save_peft(path, store, pconfig, bconfig)
+        split_kernels(path, old)
+        assert len(ag.load_checkpoint(old)[1].names()) == len(ag.load_checkpoint(path)[1].names()) + 26
+        with pytest.raises(ContractError) as err:
+            peft.load_peft(old, bb.init_backbone(bconfig, 23), bconfig)
+        message = str(err.value)
+        assert "missing ['peft.sa.kernels']" in message
+        assert "'peft.sa.kern.000'" in message and "'peft.sa.kern.222'" in message
         assert "re-run `pointpeft finetune`" in message
 
     def test_stencil_size_other_than_three_rejected(self):

@@ -15,6 +15,10 @@ once after `save_checkpoint` and `load_checkpoint` (`loaded`):
   dropped shows as `saved` != `loaded`;
 - `edges`: ±0.0, ±5e-324, ±inf, values near 1e±300 and an empty record.
 
+Each also holds `values`, a SHA-256 over the value bytes alone of the
+store as trained, every entry's in store order: a store that holds the
+same numbers under other names or shapes has the same `values` digest.
+
 `saved` equals `loaded` when the round trip is bitwise. Training does not
 depend on the checkpoint encoding, so running this on two commits that
 encode differently shows, through equal `loaded` digests, that both round
@@ -71,10 +75,14 @@ def digest(store: ag.ParamStore) -> str:
     return h.hexdigest()
 
 
+def values(store: ag.ParamStore) -> str:
+    return hashlib.sha256(b"".join(store[name].data.tobytes() for name in store.names())).hexdigest()
+
+
 def round_trip(path, store: ag.ParamStore) -> dict:
     ag.save_checkpoint(path, store, {"check": 1})
     _, loaded = ag.load_checkpoint(path)
-    return {"saved": digest(store), "loaded": digest(loaded)}
+    return {"saved": digest(store), "loaded": digest(loaded), "values": values(store)}
 
 
 def edge_store() -> ag.ParamStore:
@@ -176,7 +184,9 @@ def main() -> None:
             tuned, _, _ = tr.finetune(small, SMALL, config, target, tr.TrainConfig(epochs=2, learning_rate=3e-3, seed=1))
             pf.save_peft(path, tuned, config, SMALL)
             _, composed, _ = pf.load_peft(path, small, SMALL)
-            out["digests"]["peft"][method] = {"saved": digest(tuned), "loaded": digest(composed)}
+            out["digests"]["peft"][method] = {
+                "saved": digest(tuned), "loaded": digest(composed), "values": values(tuned)
+            }
 
         out["digests"]["edges"] = round_trip(path, edge_store())
 

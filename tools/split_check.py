@@ -9,6 +9,9 @@ momentum, and `finetune` with every PEFT method, each with and without an
 eval split. Each run's digest covers
 
 - the tuned store: names, shapes, frozen flags and value bytes;
+- `values`: the tuned store's value bytes alone, every entry's in store
+  order, so a store that holds the same numbers under other names or
+  shapes has the same `values` digest;
 - the saved checkpoint bytes (`save_backbone` or `save_peft`);
 - `RunRecord.to_text()` without its `wall_time_s` line;
 - `RunRecord.metrics_csv()`;
@@ -69,6 +72,7 @@ def run_digests(path, store, attachment, record, need_neighbors: bool) -> dict[s
     metrics = tr.evaluate(store, attachment, held_out, BCONFIG)
     parts = {
         "store": store_bytes,
+        "values": b"".join(store[name].data.tobytes() for name in store.names()),
         "checkpoint": checkpoint,
         "record": "".join(ln for ln in text if not ln.startswith("wall_time_s")).encode("utf-8"),
         "metrics_csv": record.metrics_csv().encode("utf-8"),
