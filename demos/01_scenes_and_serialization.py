@@ -65,7 +65,7 @@ occupied = int((nbr.neighbor_voxels >= 0).sum())
 print(f"\nstencil of {len(offsets)} offsets; "
       f"{occupied} occupied neighbor links across {nbr.num_voxels} voxels")
 
-# round-trip to the text format used by the CLI
+# round-trip through a cloud file, the checkpoint text format the CLI reads
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "demo_cloud.txt")
     pp.save_cloud(path, cloud)

@@ -765,8 +765,7 @@ def encode_hex(values: Array) -> str:
     value, IEEE-754 binary64, little-endian, no separators.
 
     Hex is exact and needs no decimal conversion, which took most of the
-    time to load or save a checkpoint or a cloud. Checkpoint value lines and
-    cloud point rows both hold it.
+    time to load or save a checkpoint; cloud files are checkpoints too.
     """
     return np.asarray(values, dtype="<f8").tobytes().hex()
 
@@ -830,7 +829,8 @@ def save_checkpoint(path, store: ParamStore, config: dict | None = None, command
 def load_checkpoint(path) -> tuple[dict, ParamStore]:
     """Read a `save_checkpoint` file; malformed content raises DataError.
 
-    A record's value line must hold exactly 16 hex digits per value (either
+    Each config line must hold `=` and a key no earlier line holds. A
+    record's value line must hold exactly 16 hex digits per value (either
     letter case) and nothing else; `decode_hex` decodes it, and the arrays
     are views of those writable buffers. A decimal value line, the
     encoding before hex, is refused with a DataError like any other line.
@@ -846,7 +846,10 @@ def load_checkpoint(path) -> tuple[dict, ParamStore]:
     i = 1
     while i < len(lines) and lines[i] != "[params]":
         if lines[i]:
-            key, _, val = lines[i].partition("=")
+            key, eq, val = lines[i].partition("=")
+            if not eq or key in config:
+                why = "has no '='" if not eq else f"repeats the key {key!r}"
+                raise DataError(f"{path}: config line {lines[i]!r} {why}")
             config[key] = val
         i += 1
     if i == len(lines):

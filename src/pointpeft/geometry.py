@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import HEX_DIGITS_PER_VALUE, decode_hex, encode_hex
+from .autograd import ParamStore, load_checkpoint, save_checkpoint
 from .errors import DataError, UsageError
 
 Array = np.ndarray
@@ -404,21 +404,19 @@ def generate_scene(seed: int, spec: SceneSpec) -> PointCloud:
 
 
 def save_cloud(path, cloud: PointCloud) -> None:
-    """A `#points n channels c classes C` header, then one line per point:
-    `encode_hex` of its `x y z f1 .. fc label` values, the label -1 when
-    unannotated.
+    """A checkpoint whose config block holds `classes=C` and whose records
+    are `coords` (n, 3), `feats` (n, c) and `labels` (n,), the labels -1
+    when unannotated.
 
     Non-finite features raise DataError, as `load_cloud` would refuse them.
     """
     if not np.isfinite(cloud.feats).all():
         raise DataError("non-finite features cannot be written to a cloud file")
-    labels = cloud.labels if cloud.labels is not None else np.full(cloud.n, -1)
-    body = encode_hex(np.column_stack([cloud.coords, cloud.feats, labels]))
-    width = len(body) // cloud.n
-    lines = [f"#points {cloud.n} channels {cloud.c} classes {cloud.num_classes}"]
-    lines += [body[at : at + width] for at in range(0, len(body), width)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store = ParamStore()
+    store.add("coords", cloud.coords)
+    store.add("feats", cloud.feats)
+    store.add("labels", cloud.labels if cloud.labels is not None else np.full(cloud.n, -1.0))
+    save_checkpoint(path, store, {"classes": cloud.num_classes})
 
 
 def read_text(path) -> str:
@@ -432,61 +430,37 @@ def read_text(path) -> str:
 
 
 def load_cloud(path) -> PointCloud:
-    """Read a `save_cloud` file; malformed content raises DataError.
-
-    Every point row must be exactly 16 hex digits per value wide; the rows
-    are joined and decoded with one `decode_hex` call. A cloud written with
-    decimal rows, the encoding before hex, is refused like any other
-    malformed row.
+    """Read a `save_cloud` file with `load_checkpoint`; malformed content
+    raises DataError, and so does a cloud file of the row formats before
+    clouds were checkpoints (a `#points` header over hex or decimal rows).
     """
-    raw = [ln for ln in read_text(path).split("\n") if ln and not ln.isspace()]
-    if not raw:
-        raise DataError(f"{path}: missing '#points n channels c classes C' header")
-    head = raw[0].split()
-    counts = head[1::2]
-    if (
-        len(head) != 6
-        or head[::2] != ["#points", "channels", "classes"]
-        or not all(v.isascii() and v.isdigit() for v in counts)
-    ):
-        raise DataError(
-            f"{path}: header {raw[0]!r} is not '#points n channels c classes C'"
-            " with n, c and C written in the digits 0-9"
-        )
-    n, c, num_classes = map(int, counts)
-    body = raw[1:]
-    if n < 1:
-        raise DataError(f"{path}: header says {n} points; a cloud needs at least one")
-    if len(body) != n:
-        raise DataError(f"{path}: header says {n} points, found {len(body)} lines")
-    width = 3 + c + 1
-    values = None
-    if set(map(len, body)) == {HEX_DIGITS_PER_VALUE * width}:
-        values = decode_hex("".join(body), n * width)
-    if values is None:
-        why = (
-            "; they hold decimals, the encoding before hex: `pointpeft gen-data` with the"
-            " same spec and seed rewrites the cloud bitwise"
-            if any("." in row for row in body)
-            else ""
-        )
-        raise DataError(
-            f"{path}: each point row must hold {width} values (x y z, {c} features, label) as "
-            f"{HEX_DIGITS_PER_VALUE} hex digits each (IEEE-754 binary64, little-endian){why}"
-        )
-    rows = values.reshape(n, width)
-    if not np.isfinite(rows).all():
-        raise DataError(f"{path}: non-finite value in point rows")
-    labels = rows[:, -1]
-    if (labels != np.floor(labels)).any() or labels.min() < -1 or labels.max() >= num_classes:
+    try:
+        config, store = load_checkpoint(path)
+    except DataError:
+        with open(path, "rb") as fh:
+            if fh.read(7) == b"#points":
+                raise DataError(
+                    f"{path}: a '#points' cloud file, the format before clouds were checkpoints:"
+                    " `pointpeft gen-data` with the same spec and seed rewrites it bitwise"
+                ) from None
+        raise
+    classes = config.get("classes", "")
+    if list(config) != ["classes"] or not (classes.isascii() and classes.isdigit()):
+        raise DataError(f"{path}: the config block must be the one line 'classes=C', C in the digits 0-9")
+    if store.names() != ["coords", "feats", "labels"]:
+        raise DataError(f"{path}: records must be coords, feats and labels in that order, found {store.names()}")
+    coords, feats, labels = (t.data for _, t in store.items())
+    num_classes = int(classes)
+    if feats.ndim != 2 or labels.shape != feats.shape[:1]:
+        raise DataError(f"{path}: feats must be n x c and labels length n, got {feats.shape} and {labels.shape}")
+    if not np.isfinite(feats).all():
+        raise DataError(f"{path}: feats must be finite")
+    if (labels != np.floor(labels)).any() or (labels < -1).any() or (labels >= num_classes).any():
         raise DataError(f"{path}: labels must be integers in [-1, {num_classes})")
-    labels = labels.astype(np.int64)
-    return PointCloud(
-        coords=rows[:, :3],
-        feats=rows[:, 3 : 3 + c],
-        labels=None if (labels < 0).all() else labels,
-        num_classes=num_classes,
-    )
+    try:
+        return PointCloud(coords, feats, None if (labels < 0).all() else labels, num_classes)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 _SPEC_KEYS = {"classes", "points_per_class", "noise_sigma", "scale", "labels"}

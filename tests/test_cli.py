@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pointpeft.autograd as ag
 import pointpeft.backbone as bb
 import pointpeft.cli as cli
 import pointpeft.instrumentation as ins
@@ -260,23 +261,25 @@ class TestEval:
         assert captured.out == ""
 
     def test_decimal_cloud_exits_with_data_error_code(self, ws, tmp_path, capsys):
-        """A cloud in the decimal encoding that came before hex ends in a
+        """A `#points` cloud, with the decimal rows that came before hex or
+        with hex rows, the format before clouds were checkpoints, ends in a
         DataError naming `gen-data`, not a traceback."""
-        data = tmp_path / "decimal"
+        data = tmp_path / "old"
         assert cli.main(["gen-data", "--spec", str(ws["spec_tgt"]), "--out", str(data),
                          "--count", "2", "--seed", "2"]) == 0
         cloud = tr.load_dataset(data)[1]
         rows = np.column_stack([cloud.coords, cloud.feats, cloud.labels])
-        lines = [f"#points {cloud.n} channels {cloud.c} classes {cloud.num_classes}"]
-        lines += [" ".join([*(repr(float(v)) for v in row[:-1]), str(int(row[-1]))]) for row in rows]
-        (data / "cloud_0001.txt").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = cli.main(["eval", "--backbone", str(ws["bb"]), "--data", str(data)])
-        assert code == DataError.exit_code
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "cloud_0001.txt" in captured.err
-        assert "`pointpeft gen-data` with the same spec and seed" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
+        header = f"#points {cloud.n} channels {cloud.c} classes {cloud.num_classes}"
+        decimal = [" ".join([*(repr(float(v)) for v in row[:-1]), str(int(row[-1]))]) for row in rows]
+        for body in (decimal, [ag.encode_hex(row) for row in rows]):
+            (data / "cloud_0001.txt").write_text("\n".join([header, *body]) + "\n")
+            capsys.readouterr()
+            code = cli.main(["eval", "--backbone", str(ws["bb"]), "--data", str(data)])
+            assert code == DataError.exit_code
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "cloud_0001.txt" in captured.err
+            assert "`pointpeft gen-data` with the same spec and seed" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
     def test_mismatched_backbone_hash_exits_two(self, ws, tmp_path, capsys):
         other = tmp_path / "other.ckpt"

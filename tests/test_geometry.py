@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +7,26 @@ from pointpeft import geometry as geo
 from pointpeft.errors import DataError, UsageError
 
 
-def hex_row(*values) -> str:
-    """One cloud point row as `save_cloud` writes it, from `struct`."""
-    return struct.pack(f"<{len(values)}d", *values).hex()
+def record(name, values, shape=None) -> str:
+    """A checkpoint record: its `name shape frozen` line and its value line,
+    the little-endian binary64 bytes of `values` in hex."""
+    values = np.asarray(values, dtype="<f8")
+    shape = values.shape if shape is None else shape
+    return f"{name}\t{','.join(map(str, shape))}\t0\n{values.tobytes().hex()}"
+
+
+def cloud_text(*records, config="classes=1") -> str:
+    return "\n".join(["[config]", config, "[params]", *records]) + "\n"
+
+
+def one_point(label=0, coords="0" * 48):
+    """The records of a cloud of one point with the one feature 1.0, its
+    coords value line as given."""
+    return f"coords\t1,3\t0\n{coords}", record("feats", [[1.0]]), record("labels", [label])
+
+
+# the records of a valid two-point cloud with one feature channel
+COORDS, FEATS, LABELS = record("coords", np.zeros((2, 3))), record("feats", [[1.0], [1.0]]), record("labels", [0, 0])
 
 
 def make_cloud(coords, **kw):
@@ -361,9 +376,10 @@ class TestCloudIO:
         assert loaded.labels is None
 
     def test_saved_bytes_are_pinned(self, tmp_path):
-        """Each row is the little-endian binary64 bytes of `x y z f1..fc
-        label` in hex: -0.0, the smallest subnormal, 1.0 and the -1 label
-        of an unannotated cloud with no feature channels."""
+        """A checkpoint holding `classes=C` and the records coords, feats and
+        labels, each value line the little-endian binary64 bytes in hex:
+        -0.0, the smallest subnormal, 1.0, the empty line of no feature
+        channels and the -1 labels of an unannotated cloud."""
         cloud = geo.PointCloud(
             coords=np.array([[-0.0, 5e-324, 1.0], [0.0, -5e-324, -2.5]]),
             feats=np.zeros((2, 0)),
@@ -372,9 +388,11 @@ class TestCloudIO:
         path = tmp_path / "cloud.txt"
         geo.save_cloud(path, cloud)
         assert path.read_bytes() == (
-            b"#points 2 channels 0 classes 2\n"
-            b"0000000000000080" b"0100000000000000" b"000000000000f03f" b"000000000000f0bf\n"
-            b"0000000000000000" b"0100000000000080" b"00000000000004c0" b"000000000000f0bf\n"
+            b"# hash: 6213385b8133cc992806fee603863fbc482f483c5fd8e11e583826f82781515f\n"
+            b"[config]\nclasses=2\n[params]\ncoords\t2,3\t0\n"
+            b"0000000000000080" b"0100000000000000" b"000000000000f03f"
+            b"0000000000000000" b"0100000000000080" b"00000000000004c0\n"
+            b"feats\t2,0\t0\n\nlabels\t2\t0\n" b"000000000000f0bf" b"000000000000f0bf\n"
         )
         loaded = geo.load_cloud(path)
         assert loaded.coords.tobytes() == cloud.coords.tobytes()
@@ -382,59 +400,74 @@ class TestCloudIO:
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(hex_row(0, 0, 0, 0, 0) + "\n")
-        with pytest.raises(DataError, match="is not '#points n channels c classes C'"):
+        path.write_text("0" * 80 + "\n")
+        with pytest.raises(DataError, match=r"missing \[config\] block"):
             geo.load_cloud(path)
 
-    # each header would load if its counts were read by position with int():
-    # as c=1 and C=3, the row's label 2 would be in range
+    # each config would load if `classes` were read with int() or looked up
+    # among other keys: as C=3, the label 2 would be in range
     @pytest.mark.parametrize(
-        "header",
+        "config",
         [
-            "#points 1 classes 1 channels 3",
-            "#points 1 channels 1 classes 3 labels",
-            "#points 1 channels 1 classes 3 4",
-            "#points 1 chanels 1 classes 3",
-            "#points 1 channels 1 classes ３",
-            "#points 1 channels 1 classes 0_3",
-            "#points 1 channels +1 classes 3",
+            "channels=1\nclasses=3",
+            "classes=3 labels",
+            "classes=3 4",
+            "clases=3",
+            "classes=３",
+            "classes=0_3",
+            "classes=+3",
+            "classes= 3",
         ],
         ids=[
             "swapped-keywords", "extra-token", "extra-count", "misspelled-keyword",
-            "fullwidth-digit", "underscore", "plus-sign",
+            "fullwidth-digit", "underscore", "plus-sign", "leading-space",
         ],
     )
-    def test_header_keywords_checked(self, tmp_path, header):
+    def test_header_keywords_checked(self, tmp_path, config):
         path = tmp_path / "bad.txt"
-        path.write_text(f"{header}\n{hex_row(0, 0, 0, 0, 2)}\n")
-        with pytest.raises(DataError, match="is not '#points n channels c classes C'"):
+        path.write_text(cloud_text(*one_point(label=2), config=config))
+        with pytest.raises(DataError, match="the one line 'classes=C', C in the digits 0-9"):
             geo.load_cloud(path)
 
     def test_point_count_checked(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(f"#points 2 channels 1 classes 1\n{hex_row(0, 0, 0, 1, 0)}\n")
-        with pytest.raises(DataError, match="header says 2 points, found 1 lines"):
+        path.write_text(cloud_text(record("coords", np.zeros((2, 3))), *one_point()[1:]))
+        with pytest.raises(DataError, match="feats rows 1 disagree with n=2"):
             geo.load_cloud(path)
 
+    # two points, one feature channel, one class
     @pytest.mark.parametrize(
-        "rows, reason",
+        "records, reason",
         [
-            ([hex_row(0, 0, 0, 1, 0), hex_row(0, 0, 0, 1)], "hex digits"),  # ragged: a value short
-            ([hex_row(0, 0, 0, 1), hex_row(0, 0, 0, 1, 0, 0)], "hex digits"),  # a value moved to the next row
-            ([hex_row(0, 0, 0, 1, 0), hex_row(0, 0, 0, 1, 0)[:-1] + "z"], "hex digits"),  # not hex
-            ([hex_row(0, 0, 0, 1, 0), hex_row(0, 0, 0, float("nan"), 0)], "non-finite"),
+            ([COORDS, record("feats", [1.0], shape=(2, 1)), LABELS], "hex digits"),  # ragged: a value short
+            ([COORDS, record("feats", [1.0], shape=(2, 1)), record("labels", [0, 0, 0], shape=(2,))], "hex digits"),
+            ([COORDS, FEATS, LABELS[:-1] + "z"], "hex digits"),
+            ([COORDS, record("feats", [[1.0], [np.nan]]), LABELS], "feats must be finite"),
+            ([FEATS, COORDS, LABELS], "records must be coords, feats and labels in that order"),
+            ([COORDS, FEATS], "records must be coords, feats and labels in that order"),
+            ([record("coords", np.zeros((2, 4))), FEATS, LABELS], "coords must be n x 3"),
+            ([COORDS, record("feats", [1.0, 1.0]), LABELS], "feats must be n x c and labels length n"),
+            ([COORDS, FEATS, record("labels", [0.0])], "feats must be n x c and labels length n"),
+            ([COORDS, FEATS, record("labels", [0, 1])], r"labels must be integers in \[-1, 1\)"),
+            ([COORDS, FEATS, record("labels", [0, -1])], r"labels outside \[0, 1\) in annotated cloud"),
         ],
-        ids=["ragged", "shifted", "non-numeric", "nan-feature"],
+        ids=[
+            "ragged", "shifted", "non-numeric", "nan-feature", "swapped-records", "missing-record",
+            "coords-width", "flat-feats", "short-labels", "label-past-classes", "partly-annotated",
+        ],
     )
-    def test_malformed_rows_raise_data_error(self, tmp_path, rows, reason):
+    def test_malformed_rows_raise_data_error(self, tmp_path, records, reason):
         path = tmp_path / "bad.txt"
-        path.write_text("\n".join(["#points 2 channels 1 classes 1", *rows]) + "\n")
-        with pytest.raises(DataError, match=reason):
+        path.write_text(cloud_text(*records))
+        with pytest.raises(DataError, match=reason) as info:
             geo.load_cloud(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_empty_cloud_raises_data_error(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("#points 0 channels 1 classes 1\n")
+        path.write_text(
+            cloud_text(record("coords", np.zeros((0, 3))), record("feats", np.zeros((0, 1))), record("labels", []))
+        )
         with pytest.raises(DataError, match="at least one"):
             geo.load_cloud(path)
 

@@ -27,6 +27,8 @@ from pointpeft import peft as pf
 from pointpeft import training as tr
 from pointpeft.errors import ContractError, DataError, UsageError
 
+from test_geometry import cloud_text, one_point
+
 # each example rewrites one file under the test's tmp_path
 FUZZ = settings(
     max_examples=100,
@@ -79,7 +81,7 @@ def stores(draw):
         shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
         data = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
         store.add(name, data, frozen=draw(st.booleans()))
-    return store, draw(st.dictionaries(keys, values, max_size=3))
+    return draw(st.dictionaries(keys, values, max_size=3)), store
 
 
 @st.composite
@@ -106,12 +108,22 @@ def load_or_none(load, path):
         return None
 
 
-def assert_same_store(got, want):
-    assert got.names() == want.names()
-    for name, t in want.items():
-        assert got[name].shape == t.shape
-        assert got[name].data.tobytes() == t.data.tobytes()
-        assert got.frozen(name) == want.frozen(name)
+def cloud_fields(cloud):
+    """What a cloud round trip keeps bitwise; asserts what every loaded cloud holds."""
+    assert np.isfinite(cloud.coords).all() and np.isfinite(cloud.feats).all()
+    assert cloud.feats.shape[0] == cloud.n
+    if cloud.labels is not None:
+        assert 0 <= cloud.labels.min() and cloud.labels.max() < cloud.num_classes
+    labels = None if cloud.labels is None else cloud.labels.tobytes()
+    return cloud.coords.tobytes(), cloud.feats.shape, cloud.feats.tobytes(), cloud.num_classes, labels
+
+
+def entry_fields(entry):
+    """What a checkpoint round trip keeps bitwise; asserts what every loaded checkpoint holds."""
+    config, store = entry
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in config.items())
+    assert all(t.data.dtype == np.float64 for _, t in store.items())
+    return config, [(name, t.shape, t.data.tobytes(), store.frozen(name)) for name, t in store.items()]
 
 
 class TestCloudText:
@@ -120,28 +132,17 @@ class TestCloudText:
     def test_round_trip_bitwise(self, tmp_path, cloud):
         path = tmp_path / "cloud.txt"
         geo.save_cloud(path, cloud)
-        got = geo.load_cloud(path)
-        assert got.coords.tobytes() == cloud.coords.tobytes()
-        assert got.feats.shape == cloud.feats.shape
-        assert got.feats.tobytes() == cloud.feats.tobytes()
-        assert got.num_classes == cloud.num_classes
-        if cloud.labels is None:
-            assert got.labels is None
-        else:
-            assert got.labels.tobytes() == cloud.labels.tobytes()
+        assert cloud_fields(geo.load_cloud(path)) == cloud_fields(cloud)
 
     @FUZZ
     @given(cloud=clouds(), edits=mutations())
     def test_mutated_text_loads_or_raises_data_error(self, tmp_path, cloud, edits):
         path = tmp_path / "cloud.txt"
         geo.save_cloud(path, cloud)
-        path.write_text(mutate(path.read_text(), edits), encoding="utf-8")
+        path.write_text(mutate(path.read_text(encoding="utf-8"), edits), encoding="utf-8")
         got = load_or_none(geo.load_cloud, path)
         if got is not None:
-            assert np.isfinite(got.coords).all() and np.isfinite(got.feats).all()
-            assert got.feats.shape[0] == got.n
-            if got.labels is not None:
-                assert 0 <= got.labels.min() and got.labels.max() < got.num_classes
+            cloud_fields(got)
 
     @FUZZ
     @given(cloud=clouds(), at=st.floats(0.0, 1.0), junk=st.binary(min_size=1, max_size=3))
@@ -159,8 +160,8 @@ class TestCloudText:
             geo.save_cloud(tmp_path / "cloud.txt", cloud)
         assert not (tmp_path / "cloud.txt").exists()
 
-    # float() and int(s, 16) take these; spliced into a row they keep its
-    # width, and the hex reader refuses them
+    # float() and int(s, 16) take these; spliced into the coords value line
+    # they keep its width, and the hex reader refuses them
     @pytest.mark.parametrize(
         "token",
         ["1_000", "١٢", "１２"],
@@ -168,13 +169,12 @@ class TestCloudText:
     )
     def test_tokens_float_takes_raise_data_error(self, tmp_path, token):
         path = tmp_path / "cloud.txt"
-        row = ag.encode_hex([0.0, 0.0, 0.0, 1.0, 0.0])
-        row = row[:48] + token + row[48 + len(token) :]
-        path.write_text(f"#points 1 channels 1 classes 1\n{row}\n", encoding="utf-8")
+        coords = "0" * 16 + token + "0" * (32 - len(token))
+        path.write_text(cloud_text(*one_point(coords=coords)), encoding="utf-8")
         with pytest.raises(DataError, match="hex digits"):
             geo.load_cloud(path)
 
-    # two spaces in place of two digits keep the row's width; `fromhex`
+    # two spaces in place of two digits keep the line's width; `fromhex`
     # skips ASCII whitespace, so only the decoded byte count shows them
     @pytest.mark.parametrize(
         "space",
@@ -183,32 +183,30 @@ class TestCloudText:
     )
     def test_whitespace_inside_a_row_raises_data_error(self, tmp_path, space):
         path = tmp_path / "cloud.txt"
-        row = ag.encode_hex([0.0, 0.0, 0.0, 1.5, 0.0])
-        row = row[:32] + space + row[34:]
-        path.write_text(f"#points 1 channels 1 classes 1\n{row}\n", encoding="utf-8")
+        path.write_text(cloud_text(*one_point(coords="0" * 32 + space + "0" * 14)), encoding="utf-8")
         with pytest.raises(DataError, match="hex digits"):
             geo.load_cloud(path)
 
-    # one point with c=1 takes a row of 5 values, 80 hex digits
+    # the coords of one point take 48 hex digits; a `#points` file of
+    # decimal rows is a format from before clouds were checkpoints
     @pytest.mark.parametrize(
-        "row, reason",
+        "text, reason",
         [
-            ("000000000000f03f" + "0" * 63, "hex digits"),
-            ("000000000000f03f" + "0" * 80, "hex digits"),
-            ("1.0 0.0 0.0 1.0 0", "decimals, the encoding before hex: `pointpeft gen-data`"),
+            (cloud_text(*one_point(coords="0" * 47)), "hex digits"),
+            (cloud_text(*one_point(coords="0" * 64)), "hex digits"),
+            ("#points 1 channels 1 classes 1\n1.0 0.0 0.0 1.0 0\n", "`pointpeft gen-data` with the same spec"),
         ],
         ids=["odd-digit-count", "wrong-width", "decimal"],
     )
-    def test_malformed_hex_row_raises_data_error(self, tmp_path, row, reason):
+    def test_malformed_hex_row_raises_data_error(self, tmp_path, text, reason):
         path = tmp_path / "cloud.txt"
-        path.write_text(f"#points 1 channels 1 classes 1\n{row}\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError, match=reason):
             geo.load_cloud(path)
 
     def test_non_integer_label_raises_data_error(self, tmp_path):
         path = tmp_path / "cloud.txt"
-        row = ag.encode_hex([0.0, 0.0, 0.0, 1.0, 1.5])
-        path.write_text(f"#points 1 channels 1 classes 3\n{row}\n")
+        path.write_text(cloud_text(*one_point(label=1.5), config="classes=3"))
         with pytest.raises(DataError, match="labels must be integers"):
             geo.load_cloud(path)
 
@@ -217,31 +215,26 @@ class TestCheckpointText:
     @FUZZ
     @given(entry=stores())
     def test_round_trip_bitwise(self, tmp_path, entry):
-        store, config = entry
+        config, store = entry
         path = tmp_path / "m.ckpt"
         ag.save_checkpoint(path, store, config, command="pointpeft 'a\nb'")
-        got_config, got = ag.load_checkpoint(path)
-        assert got_config == config
-        assert_same_store(got, store)
+        assert entry_fields(ag.load_checkpoint(path)) == entry_fields(entry)
 
     @FUZZ
     @given(entry=stores(), edits=mutations())
     def test_mutated_text_loads_or_raises_data_error(self, tmp_path, entry, edits):
-        store, config = entry
+        config, store = entry
         path = tmp_path / "m.ckpt"
         ag.save_checkpoint(path, store, config)
         path.write_text(mutate(path.read_text(encoding="utf-8"), edits), encoding="utf-8")
         got = load_or_none(ag.load_checkpoint, path)
         if got is not None:
-            got_config, got_store = got
-            assert all(isinstance(k, str) and isinstance(v, str) for k, v in got_config.items())
-            for _, t in got_store.items():
-                assert t.data.dtype == np.float64
+            entry_fields(got)
 
     @FUZZ
     @given(entry=stores(), at=st.floats(0.0, 1.0), junk=st.binary(min_size=1, max_size=3))
     def test_mutated_bytes_load_or_raise_data_error(self, tmp_path, entry, at, junk):
-        store, config = entry
+        config, store = entry
         path = tmp_path / "m.ckpt"
         ag.save_checkpoint(path, store, config)
         raw = path.read_bytes()
@@ -260,6 +253,18 @@ class TestCheckpointText:
         with pytest.raises(ContractError):
             ag.save_checkpoint(tmp_path / "m.ckpt", store, config)
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "config, why",
+        [("foo\nk=1", "'foo' has no '='"), ("k=1\nk=2", "'k=2' repeats the key 'k'"), ("k=\nk=", "'k=' repeats the key 'k'")],
+        ids=["no-equals", "repeated-key", "repeated-empty-key"],
+    )
+    def test_malformed_config_line_raises_data_error(self, tmp_path, config, why):
+        path = tmp_path / "m.ckpt"
+        path.write_text(f"[config]\n{config}\n[params]\n")
+        with pytest.raises(DataError) as info:
+            ag.load_checkpoint(path)
+        assert str(info.value) == f"{path}: config line {why}"
 
     def test_repeated_name_raises_data_error(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -25,9 +25,12 @@ encode differently shows, through equal `loaded` digests, that both round
 trips give the same store. `timings` holds medians of 7 `load_checkpoint`
 and `save_checkpoint` calls on freshly initialised backbones of both sizes.
 
-`clouds` holds the same for cloud files. Each digest is a SHA-256 over
-the point count, channel count, class count, coordinates, features and
-labels of a list of clouds, once as generated (`saved`) and once after
+`clouds` holds the same for cloud files, which are checkpoints: `save_cloud`
+writes the records `coords`, `feats` and `labels` with `save_checkpoint`,
+and `load_cloud` reads them with `load_checkpoint`. Each digest is a
+SHA-256 over the point count, channel count, class count, coordinates,
+features and labels of a list of clouds, taken of the arrays, so it does
+not depend on the file format: once as generated (`saved`) and once after
 `write_dataset` or `save_cloud` and then `load_dataset` or `load_cloud`
 (`loaded`):
 
