@@ -220,18 +220,28 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
-def gather_rows(a, index) -> Tensor:
-    """Select rows along axis 0 (`np.take`); repeated rows add their grads."""
+def flat_rows(index: Array, width: int) -> Array:
+    """The flat index sending element (i, j) of (n, width) rows to index[i] * width + j."""
+    return (index[:, None] * width + np.arange(width)).ravel()
+
+
+def scatter_rows(rows: Array, flat: Array, count: int) -> Array:
+    """(count, w) sums of the (n, w) `rows` at their `flat_rows` index: one
+    `np.bincount`, adding in order of i from +0.0, so `np.add.at`'s bytes."""
+    return np.bincount(flat, weights=rows.ravel(), minlength=count * rows.shape[1]).reshape(count, -1)
+
+
+def gather_rows(a, index, flat: Callable[[int], Array]) -> Tensor:
+    """Select rows of a 2-d tensor (`np.take`); repeated rows add their grads by
+    `scatter_rows` at `flat(width)`, `flat_rows(index, width)` (say from a cache)."""
     a = _wrap(a)
     idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows index must be 1-d, got shape {idx.shape}")
+    if idx.ndim != 1 or a.data.ndim != 2:
+        raise ShapeError(f"gather_rows takes 2-d rows and a 1-d index, got {a.shape} and {idx.shape}")
     data = np.take(a.data, idx, axis=0)
 
     def bwd(g: Array) -> None:
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        _accum(a, scatter_rows(g, flat(g.shape[1]), a.data.shape[0]))
 
     return _node(data, (a,), bwd)
 

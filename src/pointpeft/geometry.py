@@ -8,11 +8,11 @@ deterministic synthetic scene generator over labeled geometric primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import ParamStore, load_checkpoint, save_checkpoint
+from .autograd import ParamStore, flat_rows, load_checkpoint, save_checkpoint
 from .errors import DataError, UsageError
 
 Array = np.ndarray
@@ -74,37 +74,29 @@ def voxel_keys(coords: Array, voxel_size: float) -> Array:
     return np.floor(np.asarray(coords, dtype=np.float64) / voxel_size).astype(np.int64)
 
 
-def _spread_bits(v: Array) -> Array:
-    """Spread the low 21 bits of each value so bit j moves to bit 3j."""
-    v = v.astype(np.uint64)
-    v = (v | (v << np.uint64(32))) & np.uint64(0x1F00000000FFFF)
-    v = (v | (v << np.uint64(16))) & np.uint64(0x1F0000FF0000FF)
-    v = (v | (v << np.uint64(8))) & np.uint64(0x100F00F00F00F00F)
-    v = (v | (v << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
-    v = (v | (v << np.uint64(2))) & np.uint64(0x1249249249249249)
-    return v
+# (shift, mask) per step of spreading the low 21 bits so bit j moves to bit 3j
+_SPREAD = [(np.uint64(s), np.uint64(m)) for s, m in [(32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF),
+           (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3), (2, 0x1249249249249249)]]
+_AXIS_SHIFTS = np.arange(3, dtype=np.uint64)
 
 
 def morton_codes(keys: Array) -> Array:
     """63-bit Morton code per voxel key, x in the least significant bit slot.
 
     Keys are offset to nonnegative per axis first; each axis must then fit in
-    21 bits.
+    21 bits.  All three columns are spread at once, then shifted and or-ed.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2 or keys.shape[1] != 3:
         raise UsageError(f"keys must be n x 3, got {keys.shape}")
     shifted = keys - np.minimum(keys.min(axis=0), 0)
     if shifted.max(initial=0) >= (1 << _MORTON_BITS):
-        raise DataError(
-            f"voxel index range exceeds {_MORTON_BITS} bits per axis after offsetting"
-        )
-    x, y, z = (shifted[:, a].astype(np.uint64) for a in range(3))
-    return (
-        _spread_bits(x)
-        | (_spread_bits(y) << np.uint64(1))
-        | (_spread_bits(z) << np.uint64(2))
-    )
+        raise DataError(f"voxel index range exceeds {_MORTON_BITS} bits per axis after offsetting")
+    v = shifted.astype(np.uint64)
+    for shift, mask in _SPREAD:
+        v |= v << shift
+        v &= mask
+    return np.bitwise_or.reduce(v << _AXIS_SHIFTS, axis=1)
 
 
 def morton_order(keys: Array) -> Array:
@@ -177,6 +169,10 @@ def stencil_offsets() -> Array:
     return np.indices((STENCIL_K,) * 3).reshape(3, -1).T - STENCIL_K // 2
 
 
+_OFFSETS = stencil_offsets()
+_OFFSETS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class NeighborIndex:
     """Per-voxel stencil adjacency with a point-to-voxel assignment.
@@ -195,10 +191,17 @@ class NeighborIndex:
     point_order: Array  # (n,) point indices sorted by voxel id
     voxel_starts: Array  # (num_voxels + 1,) run boundaries in point_order
     neighbor_voxels: Array  # (num_voxels, K^3)
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_voxels(self) -> int:
         return self.neighbor_voxels.shape[0]
+
+    def flat_index(self, width: int) -> Array:
+        """`autograd.flat_rows` of `voxel_of_point`, built once per row width."""
+        if width not in self._flat:
+            self._flat[width] = flat_rows(self.voxel_of_point, width)
+        return self._flat[width]
 
     @property
     def voxel_points(self) -> tuple[Array, ...]:
@@ -225,18 +228,22 @@ class NeighborIndex:
 def build_neighbor_index(cloud: PointCloud, voxel_size: float) -> NeighborIndex:
     """Index each point's stencil of K^3 vicinity voxels, K = STENCIL_K.
 
-    Each voxel key is packed into one int64: every axis is replaced by its
-    rank among the distinct coordinates on that axis, so the packed value
-    stays below V^3 for V occupied voxels and sorts like the key rows.  All
-    K^3 neighbors are then found with one `searchsorted`.
+    Each voxel key, offset by its per-axis minimum, is packed into one int64
+    with mixed-radix strides of (extent + 1) per axis, extent the voxels it
+    spans there.  The packed keys sort like the key rows, and a stencil step
+    off either end of an axis lands in its empty layer (K // 2 layers), so
+    each slot is a constant step: all K^3 neighbors are one sum and one
+    `searchsorted`.  The radices may multiply to at most 2^63 (2^21 - 1
+    voxels on every axis); a larger cloud raises DataError.
     """
-    offsets = stencil_offsets()
     keys = voxel_keys(cloud.coords, voxel_size)
-    axes = [np.unique(keys[:, a], return_inverse=True) for a in range(3)]
-    (v0, r0), (v1, r1), (v2, r2) = axes
-    if v0.size * v1.size * v2.size > np.iinfo(np.int64).max:
-        raise DataError(f"{cloud.n} points span too many voxels to pack into int64")
-    packed = (r0 * v1.size + r1) * v2.size + r2
+    low, high = keys.min(axis=0), keys.max(axis=0)
+    # radices as Python ints, so the check itself cannot overflow
+    r0, r1, r2 = (h - lo + 1 + STENCIL_K // 2 for lo, h in zip(low.tolist(), high.tolist()))
+    if r0 * r1 * r2 > 1 << 63:
+        raise DataError(f"voxel keys from {low.tolist()} to {high.tolist()} span too many voxels to pack into int64")
+    strides = np.array([r1 * r2, r2, 1])
+    packed = (keys - low) @ strides
     point_order = np.argsort(packed, kind="stable")
     ordered = packed[point_order]
     first = np.empty(cloud.n, dtype=bool)
@@ -246,29 +253,12 @@ def build_neighbor_index(cloud: PointCloud, voxel_size: float) -> NeighborIndex:
     voxel_of_point[point_order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
     occupied = ordered[starts]  # ascending
-    num_voxels = starts.size
-    # per axis and voxel: the rank its coordinate moves to at each stencil
-    # step, -1 where no point has that coordinate
-    steps = np.arange(STENCIL_K, dtype=np.int64) - STENCIL_K // 2
-    first_points = point_order[starts]
-    moved = []
-    for values, rank in axes:
-        target = values[:, None] + steps
-        to = np.minimum(np.searchsorted(values, target), values.size - 1)
-        moved.append(np.where(values[to] == target, to, -1)[rank[first_points]])
-    m0, m1, m2 = moved
-    wanted = (m0[:, :, None, None] * v1.size + m1[:, None, :, None]) * v2.size + m2[:, None, None, :]
-    known = (m0 >= 0)[:, :, None, None] & (m1 >= 0)[:, None, :, None] & (m2 >= 0)[:, None, None, :]
-    wanted = wanted.reshape(num_voxels, -1)
-    slot = np.minimum(np.searchsorted(occupied, wanted), num_voxels - 1)
-    found = known.reshape(num_voxels, -1) & (occupied[slot] == wanted)
+    wanted = occupied[:, None] + _OFFSETS @ strides
+    slot = np.searchsorted(occupied, wanted)
+    found = occupied.take(slot, mode="clip") == wanted
     return NeighborIndex(
-        num_points=cloud.n,
-        offsets=offsets,
-        voxel_of_point=voxel_of_point,
-        point_order=point_order,
-        voxel_starts=np.append(starts, cloud.n),
-        neighbor_voxels=np.where(found, slot, -1),
+        num_points=cloud.n, offsets=_OFFSETS, voxel_of_point=voxel_of_point, point_order=point_order,
+        voxel_starts=np.append(starts, cloud.n), neighbor_voxels=np.where(found, slot, -1),
     )
 
 

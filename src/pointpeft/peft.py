@@ -178,8 +178,7 @@ class PeftAttachment:
             raise ContractError(
                 f"neighbor index covers {nbr.num_points} points, features have {x0.shape[0]}"
             )
-        sums = np.zeros((nbr.num_voxels, x0.shape[1]))
-        np.add.at(sums, nbr.voxel_of_point, x0.data)
+        sums = ag.scatter_rows(x0.data, ag.flat_rows(nbr.voxel_of_point, x0.shape[1]), nbr.num_voxels)
         return sums / np.bincount(nbr.voxel_of_point, minlength=nbr.num_voxels)[:, None]
 
     def input_branch(self, state, nbr: NeighborIndex | None, tracer=None) -> Tensor | None:
@@ -258,7 +257,7 @@ def spatial_adapter_branch(
     r = down.shape[1]
     kernels = store["peft.sa.kernels"]
     mixed = ag.stencil(ag.matmul(vox, down), nbr.neighbor_voxels, kernels)
-    per_point = ag.gather_rows(mixed, nbr.voxel_of_point)
+    per_point = ag.gather_rows(mixed, nbr.voxel_of_point, nbr.flat_index)
     if tracer is not None:
         tracer.record("sa", num_voxels * d * r + kernels.shape[0] * num_voxels * r * r + n * r * d)
     return ag.matmul(ag.relu(per_point), up)

@@ -175,14 +175,40 @@ class TestElementwiseGradients:
         a = rand(rng, 5, 3)
         idx = np.array([0, 2, 2, 4, 1])
         w = ag.Tensor(rng.uniform(-1, 1, (5, 3)))
-        fd_check(lambda: ag.mul(ag.gather_rows(a, idx), w), [a])
+        fd_check(lambda: ag.mul(ag.gather_rows(a, idx, lambda r: ag.flat_rows(idx, r)), w), [a])
 
 
 class TestGatherRows:
     def test_repeated_rows_accumulate_grad(self):
         a = ag.Tensor(np.ones((2, 2)), requires_grad=True)
-        ag.backward(tsum(ag.gather_rows(a, np.array([0, 0, 1]))))
+        idx = np.array([0, 0, 1])
+        ag.backward(tsum(ag.gather_rows(a, idx, lambda r: ag.flat_rows(idx, r))))
         np.testing.assert_array_equal(a.grad, [[2.0, 2.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("width", [8, 32])
+    def test_scatter_bytes_equal_add_at(self, width):
+        """`scatter_rows` and `gather_rows`'s backward give `np.add.at`'s
+        bytes: -0.0 rows, rows that cancel exactly, and voxels that sum only
+        -0.0 included."""
+        rng = np.random.default_rng(width)
+        count, n = 117, 144
+        index = np.concatenate([np.arange(count), rng.integers(0, count - 2, n - count)])
+        rng.shuffle(index)
+        index[index >= count - 2] = count - 2  # the last voxel stays empty
+        rows = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        rows[rng.random((n, width)) < 0.1] = -0.0
+        rows[index == 0] = -0.0  # a voxel of -0.0 alone sums to +0.0
+        twice = np.flatnonzero(np.bincount(index) >= 2)
+        for v in twice[1:20]:
+            a, b = np.flatnonzero(index == v)[:2]
+            rows[b] = -rows[a]  # exact cancellation, then later rows
+        want = np.zeros((count, width))
+        np.add.at(want, index, rows)
+        flat = ag.flat_rows(index, width)
+        assert ag.scatter_rows(rows, flat, count).tobytes() == want.tobytes()
+        a = ag.Tensor(np.zeros((count, width)), requires_grad=True)
+        ag.gather_rows(a, index, lambda w: flat)._backward(rows)
+        assert a.grad.tobytes() == want.tobytes()
 
 
 class TestBackwardContract:

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +22,9 @@ def cloud_text(*records, config="classes=1") -> str:
     return "\n".join(["[config]", config, "[params]", *records]) + "\n"
 
 
-def one_point(label=0, coords="0" * 48):
-    """The records of a cloud of one point with the one feature 1.0, its
-    coords value line as given."""
-    return f"coords\t1,3\t0\n{coords}", record("feats", [[1.0]]), record("labels", [label])
+def one_point(label=0):
+    """The records of a cloud of one point at the origin with the one feature 1.0."""
+    return record("coords", np.zeros((1, 3))), record("feats", [[1.0]]), record("labels", [label])
 
 
 # the records of a valid two-point cloud with one feature channel
@@ -40,6 +42,89 @@ def buckets_of(coords, voxel_size):
     keys = geo.voxel_keys(cloud.coords, voxel_size)
     nbr = geo.build_neighbor_index(cloud, voxel_size)
     return {tuple(int(v) for v in keys[pts[0]]): sorted(int(i) for i in pts) for pts in nbr.voxel_points}
+
+
+def oracle_morton_codes(keys):
+    """Morton codes one axis at a time: each column's bits spread in 5
+    shift-or-and steps, then shifted into its slot."""
+    keys = np.asarray(keys, dtype=np.int64)
+    shifted = keys - np.minimum(keys.min(axis=0), 0)
+    if shifted.max(initial=0) >= 1 << 21:
+        raise DataError("voxel index range exceeds 21 bits per axis after offsetting")
+
+    def spread(v):
+        v = v.astype(np.uint64)
+        for shift, mask in ((32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF), (8, 0x100F00F00F00F00F),
+                            (4, 0x10C30C30C30C30C3), (2, 0x1249249249249249)):
+            v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+        return v
+
+    x, y, z = (spread(shifted[:, a]) for a in range(3))
+    return x | (y << np.uint64(1)) | (z << np.uint64(2))
+
+
+def oracle_serialize(cloud, voxel_size, p):
+    order = np.argsort(oracle_morton_codes(geo.voxel_keys(cloud.coords, voxel_size)), kind="stable")
+    return geo.partition(order, cloud.n, p)
+
+
+def oracle_neighbor_index(cloud, voxel_size):
+    """The neighbor index with each key packed by its per-axis ranks (below
+    V^3 for V voxels, so no cloud is refused): each axis maps its stencil
+    steps to ranks with a `searchsorted` of its own, and the 27 packed
+    neighbors are broadcast from the three axes."""
+    offsets = geo.stencil_offsets()
+    keys = geo.voxel_keys(cloud.coords, voxel_size)
+    axes = [np.unique(keys[:, a], return_inverse=True) for a in range(3)]
+    (v0, r0), (v1, r1), (v2, r2) = axes
+    packed = (r0 * v1.size + r1) * v2.size + r2
+    point_order = np.argsort(packed, kind="stable")
+    ordered = packed[point_order]
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    voxel_of_point = np.empty(cloud.n, dtype=np.int64)
+    voxel_of_point[point_order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    occupied = ordered[starts]
+    num_voxels = starts.size
+    steps = np.arange(3, dtype=np.int64) - 1
+    moved = []
+    for values, rank in axes:
+        target = values[:, None] + steps
+        to = np.minimum(np.searchsorted(values, target), values.size - 1)
+        moved.append(np.where(values[to] == target, to, -1)[rank[point_order[starts]]])
+    m0, m1, m2 = moved
+    wanted = (m0[:, :, None, None] * v1.size + m1[:, None, :, None]) * v2.size + m2[:, None, None, :]
+    known = (m0 >= 0)[:, :, None, None] & (m1 >= 0)[:, None, :, None] & (m2 >= 0)[:, None, None, :]
+    wanted = wanted.reshape(num_voxels, -1)
+    slot = np.minimum(np.searchsorted(occupied, wanted), num_voxels - 1)
+    found = known.reshape(num_voxels, -1) & (occupied[slot] == wanted)
+    return geo.NeighborIndex(
+        num_points=cloud.n,
+        offsets=offsets,
+        voxel_of_point=voxel_of_point,
+        point_order=point_order,
+        voxel_starts=np.append(starts, cloud.n),
+        neighbor_voxels=np.where(found, slot, -1),
+    )
+
+
+def padded_volume(coords, voxel_size) -> int:
+    """The product of the padded key's per-axis radices, extent + 1, as a
+    Python int; `build_neighbor_index` refuses a cloud above 2^63."""
+    keys = geo.voxel_keys(coords, voxel_size)
+    return math.prod(h - lo + 2 for lo, h in zip(keys.min(axis=0).tolist(), keys.max(axis=0).tolist()))
+
+
+def assert_same_fields(got, want):
+    """Every init field of two dataclasses equal; arrays in dtype, shape and bytes."""
+    for f in dataclasses.fields(want):
+        if not f.init:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
 
 
 class TestVoxelize:
@@ -235,10 +320,72 @@ class TestNeighborIndex:
             coords = center + (rng.integers(-3, 3, (n, 3)) + 0.5) * voxel
         else:
             coords = center + rng.uniform(-span, span, (n, 3))
+        if padded_volume(coords, voxel) > 1 << 63:  # only 1e6-span draws
+            with pytest.raises(DataError, match="span too many voxels"):
+                geo.build_neighbor_index(make_cloud(coords), voxel)
+            return
         nbr = geo.build_neighbor_index(make_cloud(coords), voxel)
         want = reference_neighbor_voxels(coords, voxel)
         assert nbr.neighbor_voxels.dtype == np.int64
         np.testing.assert_array_equal(nbr.neighbor_voxels, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["single-point", "single-voxel", "negative", "grid", "span-1e6"]),
+        n=st.integers(1, 80),
+        voxel=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fields_match_the_oracles(self, kind, n, voxel, seed):
+        """Every `NeighborIndex` field and every `PatchPartition` field of
+        `serialize` equals the rank-packed and per-axis oracles' bytes; a
+        cloud is refused only where the padded key overflows (index) or
+        where the oracle refuses it too (Morton codes)."""
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(-100, 100, 3)
+        if kind == "single-point":
+            coords = center[None, :]
+        elif kind == "single-voxel":
+            coords = np.repeat(center[None, :], n, axis=0)
+        elif kind == "negative":
+            coords = rng.uniform(-5.0, -0.01, (n, 3))
+        elif kind == "grid":
+            coords = center + (rng.integers(-3, 3, (n, 3)) + 0.5) * voxel
+        else:  # 1e6 on some axes: the index refuses where all three are wide
+            coords = center + rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([1.0, 1e3, 1e6], 3)
+        cloud = make_cloud(coords)
+        if padded_volume(coords, voxel) > 1 << 63:
+            with pytest.raises(DataError, match="span too many voxels"):
+                geo.build_neighbor_index(cloud, voxel)
+        else:
+            assert_same_fields(geo.build_neighbor_index(cloud, voxel), oracle_neighbor_index(cloud, voxel))
+        try:
+            want = oracle_serialize(cloud, voxel, 16)
+        except DataError:
+            with pytest.raises(DataError, match="exceeds 21 bits"):
+                geo.serialize(cloud, voxel, 16)
+            return
+        assert_same_fields(geo.serialize(cloud, voxel, 16), want)
+        keys = geo.voxel_keys(coords, voxel)
+        assert geo.morton_codes(keys).tobytes() == oracle_morton_codes(keys).tobytes()
+        assert geo.morton_codes(keys).dtype == np.uint64
+
+    @pytest.mark.parametrize(
+        "top, refused",
+        [((2**21 - 2,) * 3, False), ((2**21 - 1, 2**21 - 2, 2**21 - 2), True), ((2**40, 0, 0), False)],
+        ids=["largest-accepted", "one-past", "one-long-axis"],
+    )
+    def test_padded_key_refuses_only_past_2_to_the_63(self, top, refused):
+        """Radices (extent + 1) multiply to 2^63 at 2^21 - 1 voxels on every
+        axis, the largest cloud the key holds; one voxel more is refused,
+        and a single long axis is not."""
+        coords = np.array([[0.0, 0.0, 0.0], top]) + 0.5
+        if refused:
+            with pytest.raises(DataError, match=r"from \[0, 0, 0\] to \[2097151, 2097150, 2097150\]"):
+                geo.build_neighbor_index(make_cloud(coords), 1.0)
+            return
+        nbr = geo.build_neighbor_index(make_cloud(coords), 1.0)
+        assert_same_fields(nbr, oracle_neighbor_index(make_cloud(coords), 1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(

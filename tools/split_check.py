@@ -24,6 +24,9 @@ evaluates go through one standing helper.
 Prints one JSON object: `runs` maps each run to its `serial` and `split`
 digests and to `parts`, the serial run's digest of each item above on its
 own; `serial` and `split` digest the run digests in run order.
+`prepare` digests what `training.prepare` makes of every cloud set the
+runs use, neighbor index included: the name, dtype, shape and bytes of
+every `PatchPartition` and `NeighborIndex` array, cloud by cloud.
 `standing` holds that run's `serial` and `split` digests and
 `one_helper`, whether one helper served both split evaluates.
 `serial_equals_split` holds when both pairs of digests are equal. Running
@@ -37,6 +40,7 @@ import os
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
@@ -104,6 +108,20 @@ def runs(path):
             yield name, run_digests(path, store, attachment, record, config.has_spatial)
 
 
+def prepare_digest() -> str:
+    """SHA-256 over the prepared arrays of every cloud set the runs use."""
+    total = hashlib.sha256()
+    for count, seed in ((6, 3), (3, 4), (6, 7), (3, 8), (3, 13)):
+        for pc in tr.prepare(clouds(count, seed), BCONFIG, need_neighbors=True):
+            for artifact in (pc.part, pc.nbr):
+                for field in dataclasses.fields(artifact):
+                    value = getattr(artifact, field.name)
+                    if field.init and hasattr(value, "tobytes"):
+                        total.update(f"{field.name}\t{value.dtype}\t{value.shape}\n".encode("utf-8"))
+                        total.update(value.tobytes())
+    return total.hexdigest()
+
+
 def standing() -> tuple[str, set]:
     """The digest of two tuned stores' metrics, evaluated back to back, and
     the standing helpers (their pids) that served the two evaluates."""
@@ -122,7 +140,7 @@ def standing() -> tuple[str, set]:
 
 
 def main() -> None:
-    out = {"runs": {}, "standing": {}}
+    out = {"prepare": prepare_digest(), "runs": {}, "standing": {}}
     with tempfile.TemporaryDirectory(prefix="split_check_") as work:
         path = os.path.join(work, "m.ckpt")
         for mode in ("serial", "split"):
