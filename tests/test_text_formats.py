@@ -126,6 +126,15 @@ def entry_fields(entry):
     return config, [(name, t.shape, t.data.tobytes(), store.frozen(name)) for name, t in store.items()]
 
 
+ZERO_COORDS = "0" * 48  # the coords value line of one point at the origin
+
+
+def one_point_text(coords_line):
+    """The file of a one-point cloud whose coords value line is `coords_line`."""
+    coords, feats, labels = one_point()
+    return cloud_text(coords.split("\n")[0] + "\n" + coords_line, feats, labels)
+
+
 class TestCloudText:
     @FUZZ
     @given(cloud=clouds())
@@ -160,12 +169,39 @@ class TestCloudText:
             geo.save_cloud(tmp_path / "cloud.txt", cloud)
         assert not (tmp_path / "cloud.txt").exists()
 
-    # a `#points` file of decimal rows is a format from before clouds were
-    # checkpoints; a cloud's hex lines are a checkpoint's, tested there
+    # float() and int(s, 16) take these; spliced into the coords value line
+    # they keep its length, and the hex reader refuses them
+    @pytest.mark.parametrize(
+        "token",
+        ["1_000", "١٢", "１２"],
+        ids=["underscore", "arabic-indic-digits", "fullwidth-digits"],
+    )
+    def test_tokens_float_takes_raise_data_error(self, tmp_path, token):
+        path = tmp_path / "cloud.txt"
+        line = ZERO_COORDS[:32] + token + ZERO_COORDS[32 + len(token) :]
+        path.write_text(one_point_text(line), encoding="utf-8")
+        with pytest.raises(DataError, match="hex digits"):
+            geo.load_cloud(path)
+
+    # two blanks in place of two digits keep the line's length; `fromhex`
+    # skips ASCII whitespace, so only the decoded byte count shows them
+    @pytest.mark.parametrize("space", ["  ", "\t\t"], ids=["space", "tab"])
+    def test_whitespace_inside_a_row_raises_data_error(self, tmp_path, space):
+        path = tmp_path / "cloud.txt"
+        path.write_text(one_point_text(ZERO_COORDS[:16] + space + ZERO_COORDS[18:]), encoding="utf-8")
+        with pytest.raises(DataError, match="hex digits"):
+            geo.load_cloud(path)
+
+    # the coords of one point are 3 values, 48 hex digits; a `#points` file
+    # of decimal rows is the format from before clouds were checkpoints
     @pytest.mark.parametrize(
         "text, reason",
-        [("#points 1 channels 1 classes 1\n1.0 0.0 0.0 1.0 0\n", "`pointpeft gen-data` with the same spec")],
-        ids=["decimal"],
+        [
+            (one_point_text("0" * 47), "hex digits"),
+            (one_point_text("0" * 64), "hex digits"),
+            ("#points 1 channels 1 classes 1\n1.0 0.0 0.0 1.0 0\n", "`pointpeft gen-data` with the same spec"),
+        ],
+        ids=["odd-digit-count", "wrong-width", "decimal"],
     )
     def test_malformed_hex_row_raises_data_error(self, tmp_path, text, reason):
         path = tmp_path / "cloud.txt"
