@@ -28,19 +28,20 @@ print(f"pretrained {record.total} params in {record.wall_time:.1f}s; "
       f"source allAcc {record.epochs[-1].allacc:.3f}")
 
 # the shift hurts: evaluate the frozen model on target scenes
-prep = pp.prepare(target_eval, bconfig)
-zero_shot = pp.evaluate(store, None, prep, bconfig)
+held_out = pp.prepare(target_eval, bconfig, need_neighbors=True)
+zero_shot = pp.evaluate(store, None, held_out, bconfig)
 print(f"zero-shot target mIoU {zero_shot['miou']:.3f}\n")
 
 for method in ("linear", "gem"):
     pconfig = pp.PeftConfig(method=method, rank=8, tokens=4, sharing="global")
     tuned, attachment, rec = pp.finetune(
         store, bconfig, pconfig, target,
-        pp.TrainConfig(epochs=24, seed=0, learning_rate=3e-3),
-        eval_clouds=target_eval)
+        pp.TrainConfig(epochs=24, seed=0, learning_rate=3e-3))
+    # score the held-out scenes once, after the last epoch
+    tuned_miou = pp.evaluate(tuned, attachment, held_out, bconfig)["miou"]
     print(f"{method:8s} trainable {rec.trainable:>6,} "
           f"({100 * rec.trainable / rec.total:.2f}%)  "
-          f"target mIoU {rec.epochs[-1].miou:.3f}")
+          f"target mIoU {tuned_miou:.3f}")
 
     # freeze discipline: the backbone bytes never moved
     same = all(

@@ -315,7 +315,7 @@ def _sweep_number(key: str, text: str, kind):
 
 
 def parse_sweep_config(text: str) -> dict:
-    """`key = value` lines; list keys take comma-separated values."""
+    """`key = value` lines, each key once; list keys take comma-separated values."""
     out: dict = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -325,6 +325,8 @@ def parse_sweep_config(text: str) -> dict:
             raise UsageError(f"sweep config line {ln!r} is not key = value")
         key, _, value = ln.partition("=")
         key, value = key.strip(), value.strip()
+        if key in out:
+            raise UsageError(f"sweep config repeats key {key!r}")
         if key in _SWEEP_LIST_KEYS:
             out[key] = tuple(v.strip() for v in value.split(",") if v.strip())
             if not out[key]:

@@ -457,7 +457,7 @@ _SPEC_KEYS = {"classes", "points_per_class", "noise_sigma", "scale", "labels"}
 
 
 def parse_scene_spec(text: str) -> SceneSpec:
-    """Parse `key = value` lines; `#` starts a comment."""
+    """Parse `key = value` lines, each key at most once; `#` starts a comment."""
     fields: dict[str, str] = {}
     for ln in text.splitlines():
         ln = ln.split("#", 1)[0].strip()
@@ -470,6 +470,8 @@ def parse_scene_spec(text: str) -> SceneSpec:
             raise DataError("scene spec key 'seed' is gone; pass the seed as `gen-data --seed`")
         if key not in _SPEC_KEYS:
             raise DataError(f"unknown scene spec key {key!r}")
+        if key in fields:
+            raise DataError(f"scene spec repeats key {key!r}")
         fields[key] = value
     for key in ("classes", "points_per_class", "noise_sigma"):
         if key not in fields:

@@ -418,17 +418,15 @@ def evaluate(
     bconfig: bb.BackboneConfig,
     resume: list[bb.Resume | None] | None = None,
     helper: _Helper | None = None,
-    last: bool = False,
 ) -> dict[str, float]:
     """Confusion-matrix metrics accumulated over the whole split.
 
     `resume`, from `backbone.frozen_resume` on the same split, lets each
     forward skip the frozen work.  The training loop passes those and its
     forked helper, whose `confusion` work counts the second half of this
-    split; `last` marks the helper's last request, after which it exits.
-    Called on its own (no `resume`, no `helper`) with two clouds or more,
-    where `_split_allowed` holds, `evaluate` ships the second half of the
-    split to this process's standing helper (`_standing_helper`), which
+    split.  Called on its own (no `resume`, no `helper`) with two clouds or
+    more, where `_split_allowed` holds, `evaluate` ships the second half of
+    the split to this process's standing helper (`_standing_helper`), which
     outlives the call and serves every later one."""
     count = len(prepared)
     if (
@@ -441,7 +439,7 @@ def evaluate(
         cm, *rest = _shipped_halves(store, attachment, prepared, bconfig)
     else:
         confusion = _confusion_work(store, attachment, prepared, bconfig, resume or [None] * count)
-        cm, *rest = _halves(helper, confusion, count, last=last)
+        cm, *rest = _halves(helper, confusion, count)
     for other in rest:
         cm.merge(other)
     return cm.metrics()
@@ -500,13 +498,13 @@ def _split_allowed(attachment, bconfig: bb.BackboneConfig) -> bool:
     )
 
 
-def _halves(helper: _Helper | None, work, count: int, *args, last: bool = False) -> list:
+def _halves(helper: _Helper | None, work, count: int, *args) -> list:
     """`work`'s answers for slots 0..count-1, in slot order.  With a helper
     and two slots or more, the parent runs the first half (rounded down)
     and the helper its own `work` of that name on the rest."""
     mine = count if helper is None or count < 2 else count // 2
     if mine < count:
-        helper.request(work.__name__, range(mine, count), args, last)
+        helper.request(work.__name__, range(mine, count), args)
     answers = [work(range(mine), *args)]
     if mine < count:
         answers.append(helper.reply())
@@ -528,8 +526,8 @@ class _Helper:
     answer (losses, a confusion matrix) or the exception the work raised,
     which `reply` raises here.  The standing helper's one work,
     `_shipped_confusion`, takes its store, attachment and clouds with each
-    request instead.  A helper exits after answering a request marked
-    `last`, or when the parent closes its end or dies.
+    request instead.  Either kind exits when the parent closes its end of
+    the pipe or dies.
     """
 
     def __init__(self, *works):
@@ -555,8 +553,8 @@ class _Helper:
         self.conn.close()
         self.proc.join()
 
-    def request(self, name: str, slots: range, args: tuple, last: bool) -> None:
-        self.conn.send((name, slots, args, last))
+    def request(self, name: str, slots: range, args: tuple) -> None:
+        self.conn.send((name, slots, args))
 
     def answer(self):
         """The next answer: the work's result, or the exception it raised."""
@@ -572,14 +570,12 @@ class _Helper:
         return answer
 
     def _serve(self, conn) -> None:
-        """The helper's loop; it ends after a `last` request's answer, or
-        when the parent closes its end or dies."""
+        """The helper's loop; it ends when the parent closes its end or dies."""
         self.conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-        last = False
-        while not last:
+        while True:
             try:
-                name, slots, args, last = conn.recv()
+                name, slots, args = conn.recv()
             except EOFError:
                 return
             try:
@@ -644,7 +640,7 @@ def _shipped_halves(store, attachment, prepared, bconfig) -> list[ConfusionMatri
     helper = _standing_helper()
     try:
         shipped = (store, attachment, prepared[mine:], bconfig)
-        helper.request(_shipped_confusion.__name__, range(mine, count), shipped, last=False)
+        helper.request(_shipped_confusion.__name__, range(mine, count), shipped)
         cm = _confusion(store, attachment, prepared[:mine], bconfig, [None] * mine)
         answer = helper.answer()
     except BaseException:
@@ -674,8 +670,9 @@ def _run_epochs(
     epoch's last step, unless `eval_prepared is prepared` (no eval split was
     passed): then every epoch but the last counts the training forwards'
     own predictions, made before each batch's step, in one confusion matrix
-    over the split, and only the last epoch calls `evaluate`.  That last
-    evaluation is the helper's last request."""
+    over the split, and only the last epoch calls `evaluate`.  To score a
+    held-out split once, pass none and `evaluate` it after the run: the
+    bytes are the eval-split run's (`test_training.py::TestEvaluateOnce`)."""
     state = OptState(tconfig)
     state.bind(store.trainable_items())  # before the helper forks: it must share `state.w`
     running = eval_prepared is prepared
@@ -689,7 +686,7 @@ def _run_epochs(
         ]
 
     resume = resume_points(prepared)
-    eval_resume = resume if eval_prepared is prepared else resume_points(eval_prepared)
+    eval_resume = resume if running else resume_points(eval_prepared)
 
     def grads(slots: range, chunk: list[int], epoch: int, count: bool):
         """A share starting at slot 0 sums into `state.g` (slot 0 directly,
@@ -723,9 +720,8 @@ def _run_epochs(
             lr = lr_at(tconfig, epoch)
             order = shuffle_rng.permutation(len(prepared))
             losses = []
-            last_epoch = epoch == tconfig.epochs - 1
             cm = None  # counts this epoch's training predictions
-            if running and not last_epoch:
+            if running and epoch < tconfig.epochs - 1:
                 cm = ConfusionMatrix(bconfig.num_classes)
             for start in range(0, len(order), tconfig.batch_size):
                 chunk = [int(i) for i in order[start : start + tconfig.batch_size]]
@@ -742,9 +738,7 @@ def _run_epochs(
             if cm is not None:
                 metrics = cm.metrics()
             else:
-                metrics = evaluate(
-                    store, attachment, eval_prepared, bconfig, eval_resume, helper, last=last_epoch
-                )
+                metrics = evaluate(store, attachment, eval_prepared, bconfig, eval_resume, helper)
             record.epochs.append(
                 EpochStats(epoch=epoch, loss=float(np.mean(losses)), **metrics)
             )

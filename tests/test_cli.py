@@ -16,7 +16,7 @@ import pointpeft.cli as cli
 import pointpeft.instrumentation as ins
 import pointpeft.peft as pf
 import pointpeft.training as tr
-from pointpeft.errors import ContractError, DataError, NumericError
+from pointpeft.errors import ContractError, DataError, NumericError, UsageError
 from pointpeft.geometry import scene_spec_text
 
 from test_peft import split_kernels
@@ -401,6 +401,10 @@ class TestSweepConfig:
         with pytest.raises(Exception, match="must list methods"):
             cli.parse_sweep_config("ranks = 2\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(UsageError, match="repeats key 'methods'"):
+            cli.parse_sweep_config("methods = gem\nmethods = lora\nepochs = 3\nepochs = 9")
+
     def test_axis_collapse(self):
         import pointpeft.backbone as bb
 
@@ -425,6 +429,13 @@ class TestSweepConfig:
         )
         assert len(cells) == 1
         assert pf.trainable_fraction(cells[0], bconfig) <= 0.05
+
+
+def grid_text(key, value):
+    """A sweep config of two methods for one epoch, with `key = value` set
+    in place of the key's line if it has one (a key may appear once)."""
+    lines = {"methods": "linear, gem", "epochs": "1", key: value}
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
 
 
 class TestSweep:
@@ -466,7 +477,7 @@ class TestSweep:
     )
     def test_malformed_number_is_a_usage_error(self, ws, tmp_path, capsys, key, value):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"methods = linear, gem\nepochs = 1\n{key} = {value}\n")
+        cfg.write_text(grid_text(key, value))
         out = tmp_path / "results.csv"
         code = cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
                          "--data", str(ws["tgt"]), "--out", str(out)])
@@ -481,7 +492,7 @@ class TestSweep:
         """An empty list key leaves no cells or no seeds to run (methods,
         ranks, sharing and seeds once did so and exited 0)."""
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"methods = linear, gem\nepochs = 1\n{key} = {value}\n")
+        cfg.write_text(grid_text(key, value))
         out = tmp_path / "results.csv"
         code = cli.main(["sweep", "--config", str(cfg), "--backbone", str(ws["bb"]),
                          "--data", str(ws["tgt"]), "--out", str(out)])

@@ -649,3 +649,9 @@ class TestSceneSpecIO:
     def test_missing_required_key_rejected(self):
         with pytest.raises(DataError):
             geo.parse_scene_spec("classes = floor\nnoise_sigma = 0.01")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(DataError, match="repeats key 'points_per_class'"):
+            geo.parse_scene_spec(
+                "classes = floor\npoints_per_class = 1\nnoise_sigma = 0\npoints_per_class = 2"
+            )

@@ -362,7 +362,7 @@ spec_lines = st.tuples(
 
 @st.composite
 def spec_texts(draw):
-    """Lines over a valid spec's text or none; a later line wins over an earlier one."""
+    """Lines over a valid spec's text or none; a line that repeats a key raises."""
     base = draw(st.just([]) | scene_specs().map(lambda spec: [geo.scene_spec_text(spec)]))
     return "\n".join(base + draw(st.lists(spec_lines, max_size=6)))
 

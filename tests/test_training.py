@@ -443,6 +443,30 @@ class TestRunningMetrics:
         assert "\nepoch_metrics = eval split, " in every.to_text()
 
 
+class TestEvaluateOnce:
+    """A caller that reads only the last epoch's score of a held-out split
+    fine-tunes without it and calls `evaluate` once: the tuned store and the
+    score are bitwise those of the run that evaluates the split every epoch,
+    so no option to evaluate less often is needed."""
+
+    @pytest.mark.parametrize("method", peft.METHODS)
+    def test_equals_the_eval_split_runs_last_epoch(self, method):
+        bconfig = tiny_backbone(blocks=4)
+        backbone = bb.init_backbone(bconfig, 31)
+        pconfig = peft.PeftConfig(method=method, rank=2, tokens=2)
+        spec = tr.target_spec(points_per_class=12)
+        clouds, held_out = tr.generate_dataset(spec, 6, 32), tr.generate_dataset(spec, 3, 33)
+        tconfig = tr.TrainConfig(epochs=2, batch_size=4, seed=34, learning_rate=3e-3)
+        every_store, _, every = tr.finetune(
+            backbone, bconfig, pconfig, clouds, tconfig, eval_clouds=held_out
+        )
+        once_store, attachment, _ = tr.finetune(backbone, bconfig, pconfig, clouds, tconfig)
+        prepared = tr.prepare(held_out, bconfig, need_neighbors=pconfig.has_spatial)
+        once = tr.evaluate(once_store, attachment, prepared, bconfig)
+        assert scores(every.epochs[-1]) == (once["miou"], once["macc"], once["allacc"])
+        assert once_store.byte_snapshot() == every_store.byte_snapshot()
+
+
 class TestFinetune:
     def make_pretrained(self):
         bconfig = tiny_backbone()
