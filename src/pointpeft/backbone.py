@@ -55,10 +55,11 @@ class BackboneConfig:
     stages: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("d", "blocks", "patch_size", "heads", "ffn_mult", "num_classes", "in_channels"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
             raise UsageError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.blocks < 1:
-            raise UsageError("blocks must be >= 1")
         if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
             raise UsageError(f"voxel_size must be finite and > 0, got {self.voxel_size!r}")
         if not self.stages:
@@ -101,7 +102,7 @@ class BackboneConfig:
                 voxel_size=float(cfg["voxel_size"]),
                 stages=stages,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, UsageError) as exc:
             raise ContractError(f"malformed backbone config: {exc}") from exc
 
 

@@ -205,6 +205,8 @@ def _write_records(args, record: tr.RunRecord, command: str) -> None:
 
 
 def _cmd_gen_data(args, command: str) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     spec = load_scene_spec(args.spec)
     tr.write_dataset(args.out, spec, args.count, args.seed, command=command)
     _print_hash(ag.config_hash({"spec": scene_spec_text(spec)}))
@@ -213,9 +215,9 @@ def _cmd_gen_data(args, command: str) -> int:
 
 
 def _cmd_pretrain(args, command: str) -> int:
-    clouds = tr.load_dataset(args.data)
     bconfig = _bconfig_from_args(args)
     tconfig = _tconfig_from_args(args)
+    clouds = tr.load_dataset(args.data)
     store, record = tr.pretrain(clouds, bconfig, tconfig, command=command)
     bb.save_backbone(args.out, store, bconfig, command=command)
     _write_records(args, record, command)

@@ -43,6 +43,9 @@ def dense_attention_oracle(x, store, prefix, heads, allow):
     return out @ store[f"{prefix}.out.weight"].data + store[f"{prefix}.out.bias"].data
 
 
+SIZES = ["d", "blocks", "patch_size", "heads", "ffn_mult", "num_classes", "in_channels"]
+
+
 class TestConfig:
     def test_default_stages_partition_blocks(self):
         config = bb.BackboneConfig()
@@ -65,6 +68,20 @@ class TestConfig:
     def test_dict_round_trip(self):
         config = small_config()
         assert bb.BackboneConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("value", [0, -4])
+    @pytest.mark.parametrize("field", SIZES)
+    def test_sizes_below_one_rejected(self, field, value):
+        """Checked before `d % heads`, which divides by zero at heads=0 and
+        passes at heads=-4."""
+        with pytest.raises(UsageError, match=f"^{field} must be >= 1, got {value}$"):
+            bb.BackboneConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", SIZES)
+    def test_checkpoint_config_with_a_size_below_one_is_malformed(self, field):
+        cfg = {**small_config().to_dict(), field: "0"}
+        with pytest.raises(ContractError, match=f"malformed backbone config: {field} must be >= 1"):
+            bb.BackboneConfig.from_dict(cfg)
 
 
 class TestEmbed:

@@ -120,6 +120,14 @@ class TestGenData:
         for name in ("cloud_0000.txt", "cloud_0001.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_one(self, ws, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        assert cli.main(["gen-data", "--spec", str(ws["spec_src"]), "--out", str(out),
+                         "--count", count]) == 1
+        assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+        assert not out.exists()
+
     def test_bad_spec_file_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")
@@ -185,6 +193,20 @@ class TestPretrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--heads", "0", "heads"), ("--heads", "-4", "heads"), ("--d", "0", "d"),
+         ("--ffn-mult", "0", "ffn_mult"), ("--patch-size", "0", "patch_size"),
+         ("--classes", "0", "num_classes"), ("--blocks", "0", "blocks")],
+    )
+    def test_size_below_one_exits_one_before_the_data_loads(self, tmp_path, capsys, flag, value, field):
+        code = cli.main(["pretrain", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "x.ckpt"),
+                         *BACKBONE_FLAGS, "--epochs", "1", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be >= 1, got {value}\n"
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_malformed_stages_is_usage_error(self, ws, tmp_path, capsys):
@@ -290,6 +312,16 @@ class TestEval:
                          str(ws["gem"]), "--data", str(ws["tgt"])])
         assert code == 2
         assert "hash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["d", "heads", "patch_size", "num_classes"])
+    def test_checkpoint_size_below_one_exits_two(self, ws, tmp_path, capsys, field):
+        config, store = bb.load_backbone(ws["bb"])
+        bad = tmp_path / "bad.ckpt"
+        ag.save_checkpoint(bad, store, {**config.to_dict(), field: "0"})
+        code = cli.main(["eval", "--backbone", str(bad), "--data", str(ws["tgt"])])
+        assert code == ContractError.exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed backbone config: {field} must be >= 1")
 
     def test_per_offset_kernel_checkpoint_exits_two(self, ws, tmp_path, capsys):
         """A gem checkpoint holding the 27 `peft.sa.kern.*` records of the
